@@ -68,7 +68,7 @@ func loadMatrix(fs *flag.FlagSet, matrixPath, preset string, runs, frames int, s
 		}
 		set := map[string]bool{}
 		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if set["runs"] || set["seeds"] {
+		if set["runs"] {
 			m.Seeds = runs
 		}
 		if set["frames"] {
@@ -168,7 +168,7 @@ func textReport(out io.Writer, rep campaign.Report) {
 func run(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
 	matrixPath := fs.String("matrix", "", "campaign matrix configuration (JSON); overrides -preset")
-	preset := fs.String("preset", "s1", "built-in matrix: s1 (storage faults), s2 (bus faults) or s3 (membership churn)")
+	preset := fs.String("preset", "s1", "built-in matrix: s1 (storage faults), s2 (bus faults), s3 (membership churn) or s4 (fleet chaos)")
 	runs := fs.Int("runs", 5, "seeds per arm")
 	seed := fs.Int64("seed", 0, "base seed; run i of an arm uses seed+i")
 	frames := fs.Int("frames", 300, "frames per run")
@@ -181,7 +181,6 @@ func run(args []string, out, errOut io.Writer) error {
 	busFaults := fs.Float64("bus-faults", 0.05, "s2 preset base per-message fault rate (drop at full, duplicate and delay at half)")
 	churn := fs.Int("churn", 3, "s3 preset spare join/leave cycles per run")
 	crashes := fs.Int("crashes", 1, "s4 preset host crash-restart cycles per storm")
-	cli.Alias(fs, "runs", "seeds")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

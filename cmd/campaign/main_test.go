@@ -112,14 +112,17 @@ func TestBadMatrixRejectedUpFront(t *testing.T) {
 	}
 }
 
-// TestDeprecatedSeedsAlias keeps the old -seeds spelling working.
-func TestDeprecatedSeedsAlias(t *testing.T) {
+// TestS2BusFaults runs the s2 preset small at a raised bus-fault rate
+// and checks the clean exit.
+func TestS2BusFaults(t *testing.T) {
 	var out, errOut bytes.Buffer
-	err := run([]string{"-preset", "s1", "-seeds", "1", "-frames", "100", "-quiet"}, &out, &errOut)
+	err := run([]string{"-preset", "s2", "-runs", "2", "-frames", "100", "-bus-faults", "0.1", "-quiet"}, &out, &errOut)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("run: %v\nstderr:\n%s", err, errOut.String())
 	}
-	if !strings.Contains(out.String(), "2 runs (1 seeds") {
-		t.Errorf("alias not applied:\n%s", out.String())
+	for _, want := range []string{"campaign s2-bus-faults", "totals:"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
 	}
 }

@@ -10,30 +10,19 @@
 //	e3  §5.3     — dwell guard vs environment churn
 //	e4  §7       — the avionics mission end to end
 //	e5  §7.1     — a second failure in every protocol frame
-//	s1  beyond   — hardened stable storage under torn-write/bit-rot/stuck-read media faults
-//	s2  beyond   — the avionics mission over a lossy, duplicating, delaying bus
+//
+// The beyond-the-paper fault-model campaigns (hardened storage, degraded
+// bus, membership churn, fleet chaos) run under cmd/campaign -preset
+// s1|s2|s3|s4.
 //
 // Usage:
 //
 //	faultsim -experiment all
 //	faultsim -experiment t2 -runs 50 -frames 500
-//	faultsim -experiment s1 -runs 25 -storage-faults 0.05 -workers 8
-//	faultsim -experiment s2 -bus-faults 0.1 -json -out report.json
-//	faultsim -experiment s1 -ring-out ring.jsonl   # export the black-box journal
-//	faultsim -experiment s1 -serve 127.0.0.1:8080  # then serve the live telemetry plane
+//	faultsim -experiment e1 -json -out report.json
 //
-// -runs (formerly -seeds, kept as a deprecated alias) sizes the randomized
-// campaigns; -seed offsets the s1/s2 campaign seeds; -workers fans the
-// s1/s2 campaigns over the campaign engine's pool (the report is identical
-// for any value).
-//
-// The s1 and s2 campaigns recover the flight-recorder ring from the SCRAM
-// host's stable storage after each run; -ring-out writes the most
-// interesting ring (for s1, a defeat-mode run that halted a processor) as a
-// JSONL journal readable by cmd/flightrec. -serve publishes the same run's
-// final telemetry snapshot over HTTP — Prometheus text on /metrics, the
-// journal on /journal?since_frame=N, and the assembled causal traces on
-// /traces and /trace/<id> — until the process is interrupted.
+// -runs sizes the t2 randomized campaigns; -frames sets their length and
+// the e3 churn run's.
 package main
 
 import (
@@ -42,16 +31,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
-	"repro/internal/bus"
 	"repro/internal/cli"
 	"repro/internal/experiments"
-	"repro/internal/stable"
-	"repro/internal/telemetry"
-	"repro/internal/telemetry/serve"
 )
 
 func main() {
@@ -75,18 +57,11 @@ func render(asJSON bool, text string, result any) (string, error) {
 
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("faultsim", flag.ContinueOnError)
-	which := fs.String("experiment", "all", "experiment to run: t1, t2, t2x, f2, e1, e2, e3, e4, e5, s1, s2, or all")
-	runs := fs.Int("runs", 20, "randomized campaigns per experiment arm (t2, s1, s2)")
-	seed := fs.Int64("seed", 0, "base seed for the s1/s2 campaigns; run i uses seed+i")
+	which := fs.String("experiment", "all", "experiment to run: t1, t2, t2x, f2, e1, e2, e3, e4, e5, or all")
+	runs := fs.Int("runs", 20, "randomized campaigns for t2")
 	frames := fs.Int("frames", 300, "frames per randomized campaign (t2) / churn run (e3)")
 	asJSON := fs.Bool("json", false, "emit structured results as JSON instead of tables")
 	outPath := fs.String("out", "", "write the report to this file instead of stdout")
-	storageFaults := fs.Float64("storage-faults", 0.05, "s1 base per-medium fault rate (torn writes and stuck reads at half, bit rot at full)")
-	busFaults := fs.Float64("bus-faults", 0.05, "s2 base per-message fault rate (drop at full, duplicate and delay at half)")
-	ringOut := fs.String("ring-out", "", "write the s1/s2 flight-recorder journal (JSONL) to this file")
-	serveAddr := fs.String("serve", "", "after the s1/s2 campaigns finish, serve the exported run's telemetry (/metrics, /journal, /traces, /trace/<id>) on this address until interrupted")
-	workers := fs.Int("workers", 1, "worker pool size for the s1/s2 campaigns (results are identical for any value)")
-	cli.Alias(fs, "runs", "seeds")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -99,9 +74,6 @@ func run(args []string, out io.Writer) (err error) {
 			err = cerr
 		}
 	}()
-	var exportRing []telemetry.Event
-	var exportReg telemetry.Snapshot
-	var exportFrameLen time.Duration
 
 	type experiment struct {
 		id  string
@@ -171,40 +143,6 @@ func run(args []string, out io.Writer) (err error) {
 			}
 			return render(*asJSON, r.Text, r)
 		}},
-		{"s1", func() (string, error) {
-			prof := stable.FaultProfile{
-				TornWriteRate: *storageFaults / 2,
-				BitRotRate:    *storageFaults,
-				StuckReadRate: *storageFaults / 2,
-			}
-			r, err := experiments.StorageFaults(experiments.CampaignOpts{Seeds: *runs, Frames: *frames, BaseSeed: *seed, Workers: *workers}, prof)
-			if err != nil {
-				return "", err
-			}
-			if r.LastRing != nil {
-				exportRing = r.LastRing
-				exportReg = r.LastRegistry
-				exportFrameLen = r.LastFrameLen
-			}
-			return render(*asJSON, r.Text, r)
-		}},
-		{"s2", func() (string, error) {
-			rates := bus.FaultRates{
-				Drop:      *busFaults,
-				Duplicate: *busFaults / 2,
-				Delay:     *busFaults / 2,
-			}
-			r, err := experiments.BusFaults(experiments.CampaignOpts{Seeds: min(*runs, 5), Frames: *frames, BaseSeed: *seed, Workers: *workers}, rates)
-			if err != nil {
-				return "", err
-			}
-			if r.LastRing != nil {
-				exportRing = r.LastRing
-				exportReg = r.LastRegistry
-				exportFrameLen = r.LastFrameLen
-			}
-			return render(*asJSON, r.Text, r)
-		}},
 	}
 
 	ran := false
@@ -221,38 +159,6 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", *which)
-	}
-	if *ringOut != "" {
-		if exportRing == nil {
-			return fmt.Errorf("-ring-out: no flight-recorder ring produced (only s1 and s2 export rings)")
-		}
-		f, err := os.Create(*ringOut)
-		if err != nil {
-			return err
-		}
-		if err := telemetry.WriteJournal(f, exportRing); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %d flight-recorder events to %s\n", len(exportRing), *ringOut)
-	}
-	if *serveAddr != "" {
-		if exportRing == nil {
-			return fmt.Errorf("-serve: no flight-recorder ring produced (only s1 and s2 export rings)")
-		}
-		srv := serve.NewRing(exportRing, exportReg, exportFrameLen)
-		addr, err := srv.Start(*serveAddr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(out, "serving telemetry on http://%s (/metrics /journal /traces /trace/<id>); interrupt to stop\n", addr)
-		stop := make(chan os.Signal, 1)
-		signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-		<-stop
 	}
 	return nil
 }

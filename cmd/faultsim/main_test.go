@@ -34,7 +34,7 @@ func TestSingleExperiments(t *testing.T) {
 
 func TestT2SmallRun(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-experiment", "t2", "-seeds", "3", "-frames", "120"}, &out); err != nil {
+	if err := run([]string{"-experiment", "t2", "-runs", "3", "-frames", "120"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "0 violations") {
@@ -65,35 +65,5 @@ func TestJSONOutput(t *testing.T) {
 	}
 	if len(decoded.Rows) == 0 || decoded.Rows[0].MaskingTotal != 2 {
 		t.Errorf("decoded = %+v", decoded)
-	}
-}
-
-func TestS1StorageFaults(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-experiment", "s1", "-seeds", "3", "-frames", "150"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"shielded", "defeat", "silent wrong data", "total:"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("s1 output missing %q:\n%s", want, s)
-		}
-	}
-	if !strings.Contains(s, "0 silent wrong data") {
-		t.Errorf("s1 reports silent wrong data:\n%s", s)
-	}
-}
-
-func TestS2BusFaults(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-experiment", "s2", "-seeds", "2", "-frames", "100",
-		"-bus-faults", "0.1"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"drop", "violations"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("s2 output missing %q:\n%s", want, s)
-		}
 	}
 }

@@ -1,7 +1,7 @@
 // Command flightrec reads a flight-recorder journal — the black-box event
-// ring recovered from a fail-stop system's stable storage (faultsim
-// -ring-out, or telemetry.WriteJournal) — and renders it for post-mortem
-// analysis.
+// ring recovered from a fail-stop system's stable storage (campaign
+// -ring-out, a fleet tenant's /journal, or telemetry.WriteJournal) — and
+// renders it for post-mortem analysis.
 //
 // Usage:
 //

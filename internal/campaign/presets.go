@@ -12,7 +12,7 @@ import (
 // three replicas at the base fault rates, and a "defeat" arm stripped to
 // one replica with bit rot multiplied until it beats the redundancy and
 // forces fail-stop conversions. Seed-major order pairs the two arms under
-// identical seeds, the layout the faultsim s1 table prints.
+// identical seeds, so each seed's shielded and defeat rows sit together.
 func S1Matrix(seeds, frames int, faults stable.FaultProfile) Matrix {
 	defeat := faults
 	defeat.BitRotRate = minFloat(1, faults.BitRotRate*8)
@@ -30,8 +30,7 @@ func S1Matrix(seeds, frames int, faults stable.FaultProfile) Matrix {
 
 // S2Matrix is the S2 experiment as a campaign matrix: the avionics mission
 // over a degraded bus, sweeping the base rates through multipliers 0-3.
-// Arm-major order groups rows by sweep point, the layout the faultsim s2
-// table prints.
+// Arm-major order groups rows by sweep point.
 func S2Matrix(seeds, frames int, rates bus.FaultRates) Matrix {
 	m := Matrix{
 		Name:   "s2-bus-faults",

@@ -1,15 +1,14 @@
 // Package cli carries the shared command-line conventions of the cmd
 // tools. Every tool exposes the same canonical flag names where the
 // concept applies — -json for structured output, -out for the report
-// destination, -seed for the base seed, -frames for run length — and keeps
-// any older spelling alive as a deprecated alias, so scripts written
-// against one tool transfer to the others.
+// destination, -seed for the base seed, -runs for seeds per arm, -frames
+// for run length — so scripts written against one tool transfer to the
+// others.
 package cli
 
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -21,17 +20,6 @@ import (
 // version; renaming, removing or re-typing an existing field bumps it, and
 // consumers reject versions newer than they know.
 const SchemaVersion = 1
-
-// Alias registers old as a deprecated alias for an already-registered
-// canonical flag. The alias shares the canonical flag's value: setting
-// either name sets both.
-func Alias(fs *flag.FlagSet, canonical, old string) {
-	f := fs.Lookup(canonical)
-	if f == nil {
-		panic("cli: alias for unregistered flag -" + canonical)
-	}
-	fs.Var(f.Value, old, "deprecated alias for -"+canonical)
-}
 
 // nopClose is the close function for the fallback writer.
 func nopClose() error { return nil }

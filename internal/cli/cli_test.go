@@ -2,39 +2,10 @@ package cli
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
-
-func TestAliasSharesValue(t *testing.T) {
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	n := fs.Int("runs", 5, "campaigns per arm")
-	Alias(fs, "runs", "seeds")
-	if err := fs.Parse([]string{"-seeds", "9"}); err != nil {
-		t.Fatal(err)
-	}
-	if *n != 9 {
-		t.Fatalf("alias did not set canonical flag: runs = %d", *n)
-	}
-	var usage bytes.Buffer
-	fs.SetOutput(&usage)
-	fs.PrintDefaults()
-	if !strings.Contains(usage.String(), "deprecated alias for -runs") {
-		t.Errorf("alias usage missing deprecation note:\n%s", usage.String())
-	}
-}
-
-func TestAliasUnregisteredPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for unregistered canonical flag")
-		}
-	}()
-	Alias(flag.NewFlagSet("t", flag.ContinueOnError), "nope", "old")
-}
 
 func TestOutputFallback(t *testing.T) {
 	var buf bytes.Buffer

@@ -35,8 +35,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/envmon"
 	"repro/internal/spec"
-	"repro/internal/stable"
 	"repro/internal/spectest"
+	"repro/internal/stable"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/serve"
 )

@@ -15,9 +15,8 @@
 // surface: anything that can produce a Snapshot on demand (a Server holding
 // a published copy, a fleet tenant snapshotting under its own lock) gets the
 // four routes. Server is the standalone composition — a published-snapshot
-// holder plus a listener — and AttachSystem/NewRing are the two shared
-// constructions every cmd tool previously hand-rolled: a live system
-// republishing per frame, and a static recovered/exported ring.
+// holder plus a listener — and AttachSystem wires a live system into one,
+// republishing at every frame boundary.
 //
 // serve is deliberately NOT a frame-deterministic package: it spawns the
 // listener goroutine (audited below) and serves wall-clock HTTP traffic.
@@ -122,26 +121,6 @@ func AttachSystem(sys FrameSystem, frameLen time.Duration) (*Server, error) {
 type FrameSystem interface {
 	Telemetry() (*telemetry.Registry, *telemetry.Recorder)
 	AddCommitHook(frame.CommitHook)
-}
-
-// NewRing returns a new (unstarted) server pre-published with a static ring
-// — an exported or post-mortem-recovered journal — and its final metrics.
-// The snapshot's frame is the last frame the ring witnessed.
-func NewRing(events []telemetry.Event, metrics telemetry.Snapshot, frameLen time.Duration) *Server {
-	var lastFrame int64
-	for _, e := range events {
-		if e.Frame > lastFrame {
-			lastFrame = e.Frame
-		}
-	}
-	s := New()
-	s.Publish(Snapshot{
-		Frame:    lastFrame,
-		FrameLen: frameLen,
-		Metrics:  metrics,
-		Events:   events,
-	})
-	return s
 }
 
 // Publish installs a frame-boundary snapshot as the served state. The
