@@ -12,12 +12,22 @@ import (
 )
 
 // buildBenchSystem wires the canonical system for the frame-loop benchmarks.
-// churnEvery > 0 scripts an alternator fault/repair cycle at that period, so
+func buildBenchSystem(tb testing.TB, telemetryCapacity int, churnEvery int64) *System {
+	tb.Helper()
+	sys, err := NewSystem(benchOptions(telemetryCapacity, churnEvery))
+	if err != nil {
+		tb.Fatalf("NewSystem: %v", err)
+	}
+	tb.Cleanup(sys.Close)
+	return sys
+}
+
+// benchOptions configures the canonical benchmark system. churnEvery > 0
+// scripts an alternator fault/repair cycle at that period, so
 // reconfigurations — and the telemetry they generate — are part of the
 // measured loop; churnEvery 0 leaves the environment quiet, measuring the
 // steady state the system spends almost all of its life in.
-func buildBenchSystem(tb testing.TB, telemetryCapacity int, churnEvery int64) *System {
-	tb.Helper()
+func benchOptions(telemetryCapacity int, churnEvery int64) Options {
 	var script []envmon.Event
 	if churnEvery > 0 {
 		for f, val := churnEvery/2, "failed"; f < 1_000_000; f += churnEvery {
@@ -29,7 +39,7 @@ func buildBenchSystem(tb testing.TB, telemetryCapacity int, churnEvery int64) *S
 			}
 		}
 	}
-	sys, err := NewSystem(Options{
+	return Options{
 		Spec: spectest.ThreeConfig(),
 		Apps: map[spec.AppID]App{
 			spectest.AppAP:  &testApp{id: spectest.AppAP},
@@ -39,12 +49,7 @@ func buildBenchSystem(tb testing.TB, telemetryCapacity int, churnEvery int64) *S
 		InitialFactors:    map[envmon.Factor]string{"alt1": "ok", "alt2": "ok"},
 		Script:            script,
 		TelemetryCapacity: telemetryCapacity,
-	})
-	if err != nil {
-		tb.Fatalf("NewSystem: %v", err)
 	}
-	tb.Cleanup(sys.Close)
-	return sys
 }
 
 func benchFrames(b *testing.B, telemetryCapacity int, churnEvery int64) {

@@ -127,14 +127,16 @@ type Options struct {
 	// a valid (and deterministic) default.
 	TraceSeed int64
 	// RetainFrames bounds the system's history to a sliding window of
-	// frames: the sys_trace drops states and the flight recorder drops
-	// journal events (live and persisted chunks alike) older than the
-	// horizon, so a tenant's memory and stable-store footprint are flat
-	// in frames — the "weeks-long run" mode. Zero (the default) retains
-	// everything. Retention is configuration, not runtime state: property
-	// checks and flightrec cover the retained window, and a replayed or
-	// recovered run must use the same horizon for its journal and trace
-	// to stay byte-identical with the original.
+	// frames: the flight recorder drops journal events (live and persisted
+	// chunks alike) older than the horizon at every frame, and the
+	// sys_trace and the SCRAM kernel's protocol log (Kernel().Events())
+	// drop theirs whenever they reach twice the window, so a tenant's
+	// memory and stable-store footprint are flat in frames — the
+	// "weeks-long run" mode. Zero (the default) retains everything, the
+	// full protocol log included. Retention is configuration, not runtime
+	// state: property checks and flightrec cover the retained window, and
+	// a replayed or recovered run must use the same horizon for its
+	// journal and trace to stay byte-identical with the original.
 	RetainFrames int64
 	// DisableTracing turns the causal trace layer off while leaving the
 	// rest of the telemetry stack on — the ablation arm of the tracing
@@ -190,7 +192,8 @@ type System struct {
 	events   []ProcEvent
 	tr       *trace.Trace
 	// retain is Options.RetainFrames: the sliding history window recordHook
-	// trims the trace behind (0 keeps everything).
+	// trims the trace and the kernel's protocol log behind (0 keeps
+	// everything).
 	retain int64
 
 	// realApps caches rs.RealApps() (declaration order) and procHealth the
@@ -870,14 +873,17 @@ func (s *System) recordHook(ctx frame.Context) error {
 	if err := s.tr.Append(st); err != nil {
 		return err
 	}
-	// Retention: once the trace holds two full windows, drop back to one.
+	// Retention: once the trace holds two full windows, drop back to one,
+	// and drop the active kernel's protocol log to the same horizon.
 	// Trimming in window-sized chunks amortizes the copy to O(1)/frame and
 	// the allocation to one slice per window, and the 2x slack means every
 	// cycle inside the horizon stays addressable between trims. Driven only
 	// by the frame number, so replays trim at exactly the same frames.
 	if s.retain > 0 && s.tr.Len() >= 2*s.retain {
+		horizon := s.tr.End() - s.retain
 		//lint:allow allocfree retention trim: one slice copy per retain-frames window, amortized O(1) per frame
-		s.tr.Trim(s.tr.End() - s.retain)
+		s.tr.Trim(horizon)
+		k.TrimEvents(horizon)
 	}
 	return nil
 }

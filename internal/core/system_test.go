@@ -450,6 +450,55 @@ func TestRunUntilAndFrame(t *testing.T) {
 	}
 }
 
+// TestRetentionBoundsKernelLog: under churn the SCRAM kernel's protocol log
+// follows the retention horizon — after every frame each entry lies within
+// the last two windows, and what is left is exactly the tail of the
+// complete log — while a system without retention keeps the whole log from
+// the first signal on.
+func TestRetentionBoundsKernelLog(t *testing.T) {
+	const retain, frames = 64, 5000
+	run := func(retainFrames int64) *System {
+		t.Helper()
+		opts := benchOptions(0, 20)
+		opts.RetainFrames = retainFrames
+		s, err := NewSystem(opts)
+		if err != nil {
+			t.Fatalf("NewSystem: %v", err)
+		}
+		t.Cleanup(s.Close)
+		for s.Frame() < frames {
+			if err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if retainFrames == 0 {
+				continue
+			}
+			for _, e := range s.Kernel().Events() {
+				if e.Frame < s.Frame()-2*retain {
+					t.Fatalf("after frame %d the kernel log still holds %v, older than 2x%d frames",
+						s.Frame()-1, e, retain)
+				}
+			}
+		}
+		return s
+	}
+
+	full := run(0).Kernel().Events()
+	if len(full) == 0 || full[0].Kind != scram.EventSignal || full[0].Frame != 10 {
+		t.Fatalf("unretained log starts %v, want the first signal at frame 10", full[:min(1, len(full))])
+	}
+	kept := run(retain).Kernel().Events()
+	if len(kept) == 0 || len(kept) >= len(full) {
+		t.Fatalf("retained log holds %d of %d events", len(kept), len(full))
+	}
+	tail := full[len(full)-len(kept):]
+	for i := range kept {
+		if kept[i] != tail[i] {
+			t.Fatalf("retained log[%d] = %v, want the complete log's %v", i, kept[i], tail[i])
+		}
+	}
+}
+
 // TestRepeatedCampaignDeterminism runs the same scripted scenario twice and
 // requires identical traces — the determinism the barrier scheduler, the
 // hook ordering, and the frame-boundary delivery are designed to give.

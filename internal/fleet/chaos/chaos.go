@@ -13,8 +13,8 @@
 // temp-and-rename staging keeps half-written records from masquerading as
 // committed ones, and the stable layer's CRCs catch any that tear anyway).
 // Torn-writes are injected on top, corrupting committed manifest records on
-// one replica at the crash point — the mid-commit-crash shape read repair
-// must heal without the recovered fleet noticing.
+// one replica at the crash point — the mid-commit-crash shape the recovery
+// scrub must heal without the recovered fleet noticing.
 //
 // Everything is driven from one seed, so a failing storm replays with the
 // same strike plan and the same final fleet shape. Traffic tallies (how many
@@ -292,7 +292,7 @@ func waitUntil(deadline time.Time, cond func() bool) bool {
 
 // tearRecords corrupts up to n committed records on one replica — the torn
 // mid-commit write a crash can leave behind. The stable layer's CRC rejects
-// the torn copy and read repair heals it from the survivor.
+// the torn copy and the scrub Recover runs heals it from the survivor.
 func tearRecords(rng *rand.Rand, m stable.Medium, n int) int {
 	keys := m.Keys()
 	if len(keys) == 0 {

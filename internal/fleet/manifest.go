@@ -18,10 +18,12 @@
 // manifest's footprint is bounded by the live fleet, not its history.
 //
 // Failure handling is self-stabilizing, not halting: a record torn on one
-// replica is healed by read repair; a record lost on every replica is
-// converged past — the tenant that record belonged to is quarantined (lost
-// spawn or injection) or merely loses checkpoint progress (lost ckpt), and
-// every other tenant recovers untouched.
+// replica is healed by the scrub that recovery runs before reading the
+// manifest, so a later crash tearing the other replica's copy still finds
+// one intact; a record lost on every replica is converged past — the tenant
+// that record belonged to is quarantined (lost spawn or injection) or merely
+// loses checkpoint progress (lost ckpt), and every other tenant recovers
+// untouched.
 package fleet
 
 import (
@@ -211,14 +213,23 @@ type tenantManifest struct {
 	Damaged string
 }
 
-// loadManifest parses the manifest out of the store, converging past
-// unrecoverable records. It returns the per-tenant recipes plus the ids of
-// tenants whose spawn record is lost entirely (nothing to respawn from —
-// reported, then dropped).
+// loadManifest heals the manifest store, then parses the manifest out of
+// it, converging past unrecoverable records. It returns the per-tenant
+// recipes plus the ids of tenants whose spawn record is lost entirely
+// (nothing to respawn from — reported, then dropped).
 func loadManifest(st *stable.Store) (map[string]*tenantManifest, []string, error) {
 	rep := st.Hardened()
 	if rep == nil {
 		return nil, nil, errors.New("fleet: manifest store is not hardened")
+	}
+	// Spawn and injection records are written once and never rewritten, and
+	// the snapshot below does not repair what it reads: without this scrub a
+	// record torn on one replica at one crash stays torn until the next
+	// crash tears the other copy, and the acked record is lost. A key lost
+	// on every replica is not an error here — the snapshot reports it and
+	// LostKeys scopes the damage below.
+	if _, err := rep.Scrub(nil); err != nil && !errors.Is(err, stable.ErrUnrecoverable) {
+		return nil, nil, fmt.Errorf("fleet: scrubbing manifest: %w", err)
 	}
 	snap, err := rep.SnapshotPrefix(manifestPrefix)
 	var lost []string

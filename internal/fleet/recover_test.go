@@ -253,6 +253,50 @@ func TestRecoverConvergesPastDamage(t *testing.T) {
 	})
 }
 
+// TestRecoverHealsTornRecordAcrossCrashes: each crash tears an acked spawn
+// record on one replica only — inside the fault hypothesis — but on a
+// different replica each time. Recovery must heal the first tear before
+// the second lands, or the record is lost on every replica and the tenant
+// is dropped: an acked spawn committed before the crashes must stay
+// committed after them.
+func TestRecoverHealsTornRecordAcrossCrashes(t *testing.T) {
+	dir := t.TempDir()
+	h := NewHost(durableConfig(mountFileManifest(t, dir)))
+	for _, id := range []string{"a", "b"} {
+		if _, err := h.Spawn(SpawnSpec{ID: id, Preset: "threeconfig", Seed: 4, Frames: 40}); err != nil {
+			t.Fatalf("spawn %s: %v", id, err)
+		}
+	}
+	h.Close()
+
+	tear := func(rep string) {
+		t.Helper()
+		m, err := stable.NewFileMedium(filepath.Join(dir, rep))
+		if err != nil {
+			t.Fatalf("reopen medium: %v", err)
+		}
+		raw, ok := m.Read(spawnKey("b"))
+		if !ok || len(raw) < 4 {
+			t.Fatalf("spawn record of b missing on %s", rep)
+		}
+		raw[len(raw)-3] ^= 0xFF
+		if err := m.Write(spawnKey("b"), raw); err != nil {
+			t.Fatalf("tear %s: %v", rep, err)
+		}
+	}
+	for i, rep := range []string{"r0", "r1"} {
+		tear(rep)
+		h, rec, err := Recover(durableConfig(mountFileManifest(t, dir)))
+		if err != nil {
+			t.Fatalf("Recover after tear %d: %v", i+1, err)
+		}
+		h.Close()
+		if rec.Tenants != 2 || len(rec.Dropped) != 0 || len(rec.Quarantined) != 0 {
+			t.Fatalf("recovery after tearing b on %s = %+v, want both tenants back", rep, rec)
+		}
+	}
+}
+
 // TestRecoverReproducesQuarantine: a tenant that panicked pre-crash is
 // restored quarantined at the same frame with the same reason, and its
 // post-mortem snapshot re-recovers from the replayed stable storage.

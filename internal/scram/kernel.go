@@ -256,11 +256,31 @@ func (k *Kernel) PlanTarget() (target spec.ConfigID, seq int64, ok bool) {
 	return k.st.Plan.Target, k.st.Plan.Seq, true
 }
 
-// Events returns a copy of the protocol event log.
+// Events returns a copy of the protocol event log: every event since the
+// kernel started, or, once TrimEvents has run, only those of the frames it
+// kept.
 func (k *Kernel) Events() []Event {
 	out := make([]Event, len(k.events))
 	copy(out, k.events)
 	return out
+}
+
+// TrimEvents drops the log entries of frames before the given one, in place
+// and without allocating: the kept suffix slides to the front and the
+// vacated tail is zeroed so the dropped details are released. The system's
+// retention horizon calls it so the log stays as bounded as the journal;
+// without retention nothing calls it and the log is complete.
+func (k *Kernel) TrimEvents(before int64) {
+	i := 0
+	for i < len(k.events) && k.events[i].Frame < before {
+		i++
+	}
+	if i == 0 {
+		return
+	}
+	n := copy(k.events, k.events[i:])
+	clear(k.events[n:])
+	k.events = k.events[:n]
 }
 
 // Signal delivers a component-failure or environment-change signal to the

@@ -3,6 +3,7 @@ package scram
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/envmon"
@@ -292,6 +293,46 @@ func TestBufferPolicyChainsReconfigurations(t *testing.T) {
 	}
 	if k.Current() != spectest.CfgMinimal {
 		t.Fatalf("second window ended in %s, want minimal", k.Current())
+	}
+}
+
+// TestTrimEventsKeepsLaterFrames: trimming the log at a frame keeps exactly
+// the entries of that frame and later ones, in order, in the same backing
+// array, and zeroes the vacated slots so the dropped details are released.
+func TestTrimEventsKeepsLaterFrames(t *testing.T) {
+	rs := spectest.ThreeConfig()
+	rs.DwellFrames = 0
+	k, st := newTestKernel(t, rs)
+	k.Signal(envmon.Signal{Source: spectest.AppMonitor, State: spectest.EnvReduced, Frame: 1})
+	for f := int64(1); f <= 5; f++ {
+		step(t, k, st, f)
+	}
+	k.Signal(envmon.Signal{Source: spectest.AppMonitor, State: spectest.EnvBattery, Frame: 6})
+	for f := int64(6); f <= 9; f++ {
+		step(t, k, st, f)
+	}
+	full := k.Events()
+	var want []Event
+	for _, e := range full {
+		if e.Frame >= 6 {
+			want = append(want, e)
+		}
+	}
+	if len(want) == 0 || len(want) == len(full) {
+		t.Fatalf("log of %d events has %d from frame 6 on: the trim would be vacuous", len(full), len(want))
+	}
+	backing := &k.events[0]
+	k.TrimEvents(6)
+	if got := k.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after TrimEvents(6) the log is %v, want %v", got, want)
+	}
+	if &k.events[0] != backing {
+		t.Error("TrimEvents reallocated the log")
+	}
+	for i, e := range k.events[len(want):len(full)] {
+		if e != (Event{}) {
+			t.Errorf("vacated slot %d still holds %v", len(want)+i, e)
+		}
 	}
 }
 

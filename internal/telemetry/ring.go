@@ -161,11 +161,19 @@ func (e Event) String() string {
 	return b.String()
 }
 
-// DefaultCapacity is the default ring size. At one frame-state event plus a
-// handful of protocol events per frame, it covers on the order of a
-// thousand frames of history — enough for every campaign in the repository
-// while keeping the per-frame persistence delta small.
+// DefaultCapacity is the default ring size: an upper bound on the live
+// events, not an allocation. The buffer grows on demand, doubling only when
+// every slot holds a live event, so a ring whose retention horizon keeps a
+// few dozen events live stays a few dozen slots long. At one frame-state
+// event plus a handful of protocol events per frame, a full ring covers on
+// the order of a thousand frames of history — enough for every campaign in
+// the repository while keeping the per-frame persistence delta small.
 const DefaultCapacity = 4096
+
+// minRingSlots is the buffer's first allocation: small enough that a quiet
+// tenant's ring stays about a kilobyte, large enough that the first frames
+// do not regrow it event by event.
+const minRingSlots = 8
 
 // eventKeyPrefix namespaces the persisted event-chunk records. The chunks
 // are self-describing — every event carries its sequence number — so no
@@ -198,11 +206,14 @@ func eventKey(seq int64) string {
 // deleted at the next Persist). A Recorder is safe for concurrent use
 // within a frame; persistence happens from the frame-commit path only.
 //
-// The buffer is circular: buf[head] is the oldest surviving event and
-// eviction overwrites in place, so Record stays O(1) once the ring fills.
+// The buffer is circular: buf[head] is the oldest surviving event, the live
+// events occupy buf[head], buf[head+1], ... modulo len(buf), and every other
+// slot is the zero Event, so an evicted or trimmed event pins nothing.
+// Capacity eviction overwrites in place, so Record stays O(1) once the ring
+// fills.
 type Recorder struct {
 	mu       sync.Mutex
-	capacity int
+	capacity int // eviction bound; len(buf) grows toward it on demand
 	buf      []Event
 	head     int   // index of the oldest event
 	count    int   // number of live events
@@ -294,7 +305,8 @@ func (r *Recorder) SetFrame(f int64) {
 			// many frames behind the per-frame persistence anyway.
 			break
 		}
-		r.head = (r.head + 1) % r.capacity
+		*old = Event{} // release the frame-state sample and attrs it pins
+		r.head = (r.head + 1) % len(r.buf)
 		r.count--
 		r.trimmed++
 	}
@@ -349,23 +361,32 @@ func (r *Recorder) recordLocked(e Event) {
 	if e.Frame == 0 {
 		e.Frame = r.frame
 	}
-	if len(r.buf) < r.capacity {
-		// Still growing: plain append, so a quiet system never pays for
-		// the full ring allocation. head + count always equals len(buf)
-		// in this phase (retention trims advance head without wrapping),
-		// so the new event's slot is exactly the append position.
-		r.buf = append(r.buf, e)
-		r.count++
-		return
+	if r.count == len(r.buf) {
+		if len(r.buf) == r.capacity {
+			// Full at capacity: evict the oldest event in place.
+			r.buf[r.head] = e
+			r.head = (r.head + 1) % len(r.buf)
+			r.dropped++
+			return
+		}
+		r.grow()
 	}
-	if r.count < r.capacity {
-		r.buf[(r.head+r.count)%r.capacity] = e
-		r.count++
-		return
-	}
-	r.buf[r.head] = e
-	r.head = (r.head + 1) % r.capacity
-	r.dropped++
+	r.buf[(r.head+r.count)%len(r.buf)] = e
+	r.count++
+}
+
+// grow doubles the buffer, capped at capacity, and unrolls the live events
+// (which fill every slot) to its front. It runs only when every slot is
+// live, so under a retention horizon the buffer settles at the first
+// doubling that holds the peak live count instead of creeping toward
+// capacity.
+func (r *Recorder) grow() {
+	n := min(max(2*len(r.buf), minRingSlots), r.capacity)
+	//lint:allow allocfree ring growth: doubles only when every slot is live, so a ring allocates O(log capacity) times over its whole life
+	buf := make([]Event, n)
+	k := copy(buf, r.buf[r.head:])
+	copy(buf[k:], r.buf[:r.head])
+	r.buf, r.head = buf, 0
 }
 
 // Len returns the number of events currently in the ring.
@@ -389,7 +410,7 @@ func (r *Recorder) Events() []Event {
 	//lint:allow allocfree snapshot-copy surface: an immutable copy is the point; per-frame only under the opt-in live telemetry plane's publish hook
 	out := make([]Event, r.count)
 	for i := 0; i < r.count; i++ {
-		out[i] = r.buf[(r.head+i)%r.capacity]
+		out[i] = r.buf[(r.head+i)%len(r.buf)]
 	}
 	return out
 }
@@ -449,7 +470,7 @@ func (r *Recorder) Persist(kv KV) error {
 			if buf[len(buf)-1] != '[' {
 				buf = append(buf, ',')
 			}
-			buf = r.enc.appendEventTo(buf, &r.buf[(r.head+int(s-lo))%r.capacity])
+			buf = r.enc.appendEventTo(buf, &r.buf[(r.head+int(s-lo))%len(r.buf)])
 		}
 		buf = append(buf, ']')
 		r.enc.buf = buf

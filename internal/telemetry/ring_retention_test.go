@@ -1,6 +1,9 @@
 package telemetry
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestRingRetentionHorizon drives a quiet one-event-per-frame recorder far
 // past its retention horizon and checks the frame-based trim: the live ring
@@ -110,5 +113,47 @@ func TestRingRetentionWithCapacityEviction(t *testing.T) {
 	}
 	if rec.Dropped() == 0 || rec.Trimmed() == 0 {
 		t.Fatalf("Dropped/Trimmed = %d/%d, want both > 0", rec.Dropped(), rec.Trimmed())
+	}
+}
+
+// TestRingRetentionBoundsBuffer is the churn shape: a burst of events every
+// few frames under a retention horizon far below the capacity. The buffer
+// must settle near the live window instead of growing toward capacity, and
+// every slot outside the live window must be the zero Event, so a trimmed
+// event pins none of the state samples or attribute maps it carried.
+func TestRingRetentionBoundsBuffer(t *testing.T) {
+	rec := NewRecorder(0)
+	rec.SetRetention(64)
+	kv := memKV{}
+	peak := 0
+	for f := int64(1); f <= 10_000; f++ {
+		rec.SetFrame(f)
+		if f%20 == 0 {
+			for i := 0; i < 20; i++ {
+				rec.Record(Event{Kind: KindFrameState, State: &FrameState{}, Attrs: map[string]int64{"i": int64(i)}})
+			}
+		}
+		if err := rec.Persist(kv); err != nil {
+			t.Fatal(err)
+		}
+		peak = max(peak, rec.Len())
+	}
+	if rec.Trimmed() == 0 {
+		t.Fatal("Trimmed() = 0, want > 0")
+	}
+	if len(rec.buf) > 2*peak {
+		t.Fatalf("buffer holds %d slots for a peak of %d live events, want <= 2x", len(rec.buf), peak)
+	}
+	for i := rec.count; i < len(rec.buf); i++ {
+		slot := (rec.head + i) % len(rec.buf)
+		if !reflect.ValueOf(rec.buf[slot]).IsZero() {
+			t.Fatalf("slot %d outside the live window holds %v", slot, rec.buf[slot])
+		}
+	}
+	evs := rec.Events()
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Seq != evs[i-1].Seq+1 {
+			t.Fatalf("sequence gap: %d then %d", evs[i-1].Seq, evs[i].Seq)
+		}
 	}
 }

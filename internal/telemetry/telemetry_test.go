@@ -122,18 +122,31 @@ func TestWritePromDeterministic(t *testing.T) {
 	}
 }
 
+// TestRingEvictionAndDropped fills rings past their capacity from empty: one
+// smaller than the buffer's first allocation, and one the buffer reaches
+// only by doubling several times. Either way the surviving tail and the
+// eviction count are those of a ring allocated full-size up front.
 func TestRingEvictionAndDropped(t *testing.T) {
-	rec := NewRecorder(3)
-	for i := 0; i < 5; i++ {
-		rec.SetFrame(int64(i))
-		rec.Record(Event{Kind: KindSignal})
-	}
-	if rec.Len() != 3 || rec.Dropped() != 2 {
-		t.Fatalf("Len/Dropped = %d/%d, want 3/2", rec.Len(), rec.Dropped())
-	}
-	evs := rec.Events()
-	if evs[0].Seq != 2 || evs[0].Frame != 2 || evs[2].Seq != 4 {
-		t.Errorf("surviving events = %+v", evs)
+	for _, tc := range []struct{ capacity, records int }{{3, 5}, {100, 250}} {
+		rec := NewRecorder(tc.capacity)
+		for i := 0; i < tc.records; i++ {
+			rec.SetFrame(int64(i))
+			rec.Record(Event{Kind: KindSignal})
+		}
+		drop := tc.records - tc.capacity
+		if rec.Len() != tc.capacity || rec.Dropped() != int64(drop) {
+			t.Fatalf("capacity %d: Len/Dropped = %d/%d, want %d/%d",
+				tc.capacity, rec.Len(), rec.Dropped(), tc.capacity, drop)
+		}
+		if len(rec.buf) != tc.capacity {
+			t.Errorf("capacity %d: buffer grew to %d slots", tc.capacity, len(rec.buf))
+		}
+		for i, e := range rec.Events() {
+			if e.Seq != int64(drop+i) || e.Frame != int64(drop+i) {
+				t.Fatalf("capacity %d: surviving event %d = %+v, want seq and frame %d",
+					tc.capacity, i, e, drop+i)
+			}
+		}
 	}
 }
 
