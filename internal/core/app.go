@@ -58,7 +58,7 @@ type FrameEnv struct {
 // three reconfiguration methods realize the bounded-time halt / prepare /
 // start responses of section 5.3.
 //
-// Methods are called from the application's own goroutine, one call per
+// Methods are called from the goroutine stepping the system, one call per
 // frame, never concurrently.
 type App interface {
 	// ID returns the application identifier, matching the declaration in

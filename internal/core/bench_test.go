@@ -87,19 +87,18 @@ type armSample struct {
 	bytesPerFrame  float64
 }
 
-// measureArm times exactly `frames` frames of one arm after a short warmup.
-// Running a fixed frame count in every arm keeps frame-count-dependent costs
-// (notably the live trace's slice growth, which testing.Benchmark's varying
-// b.N spreads unevenly across arms) identical on both sides of the
-// comparison, so they cancel in the subtraction.
+// measureArm builds one arm's system and times exactly `frames` frames of
+// it after the warmup.
 func measureArm(tb testing.TB, frames int, telemetryCapacity int, churnEvery int64) armSample {
 	tb.Helper()
-	return measureSystem(tb, buildBenchSystem(tb, telemetryCapacity, churnEvery), frames)
+	sys := buildBenchSystem(tb, telemetryCapacity, churnEvery)
+	warm(tb, sys)
+	return timeFrames(tb, sys, frames)
 }
 
-// measureSystem times exactly `frames` frames of an already-built system
-// after a fixed warmup.
-func measureSystem(tb testing.TB, sys *System, frames int) armSample {
+// warm runs a fixed warmup, then collects garbage, so timed frames start
+// from the steady state rather than from construction.
+func warm(tb testing.TB, sys *System) {
 	tb.Helper()
 	for i := 0; i < 1000; i++ {
 		if err := sys.Step(); err != nil {
@@ -107,6 +106,11 @@ func measureSystem(tb testing.TB, sys *System, frames int) armSample {
 		}
 	}
 	runtime.GC()
+}
+
+// timeFrames times exactly `frames` frames of a warmed system.
+func timeFrames(tb testing.TB, sys *System, frames int) armSample {
+	tb.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
@@ -124,27 +128,47 @@ func measureSystem(tb testing.TB, sys *System, frames int) armSample {
 	}
 }
 
-// measurePair measures the instrumented and ablation arms back to back n
-// times and returns the fastest sample of each plus the median of the
-// pairwise overheads. Interleaving the arms keeps slow machine drift
-// (thermal throttling, noisy CI neighbours) out of the comparison — each
-// overhead sample comes from two runs executed moments apart — and the
-// median discards the pairs a scheduling hiccup landed in.
-func measurePair(tb testing.TB, n, frames int, churnEvery int64) (on, off armSample, medianPct float64) {
-	pcts := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		son := measureArm(tb, frames, 0, churnEvery)
-		soff := measureArm(tb, frames, -1, churnEvery)
-		if i == 0 || son.nsPerFrame < on.nsPerFrame {
-			on = son
+// overheadPairs blocks of overheadBlockFrames frames per arm make one
+// overhead estimate. Many short pairs keep each pair's two blocks
+// milliseconds apart, so slow machine drift (thermal throttling, noisy CI
+// neighbours) cancels within the pair, and give the median enough samples
+// to discard the pairs a scheduling hiccup landed in.
+const (
+	overheadPairs       = 41
+	overheadBlockFrames = 2000
+)
+
+// measurePair times the instrumented system on against the ablation system
+// off and returns the fastest block of each plus the median of the per-pair
+// overheads. Both systems are warmed once and then advance in lockstep, so
+// every pair compares the two arms at the same frame count and
+// frame-count-dependent costs (notably the live trace's slice growth)
+// cancel in the subtraction; which arm runs first alternates, so neither
+// always inherits the other's cache and GC state.
+func measurePair(tb testing.TB, on, off *System) (onBest, offBest armSample, medianPct float64) {
+	tb.Helper()
+	warm(tb, on)
+	warm(tb, off)
+	pcts := make([]float64, 0, overheadPairs)
+	for i := 0; i < overheadPairs; i++ {
+		var son, soff armSample
+		if i%2 == 0 {
+			son = timeFrames(tb, on, overheadBlockFrames)
+			soff = timeFrames(tb, off, overheadBlockFrames)
+		} else {
+			soff = timeFrames(tb, off, overheadBlockFrames)
+			son = timeFrames(tb, on, overheadBlockFrames)
 		}
-		if i == 0 || soff.nsPerFrame < off.nsPerFrame {
-			off = soff
+		if i == 0 || son.nsPerFrame < onBest.nsPerFrame {
+			onBest = son
+		}
+		if i == 0 || soff.nsPerFrame < offBest.nsPerFrame {
+			offBest = soff
 		}
 		pcts = append(pcts, (son.nsPerFrame-soff.nsPerFrame)/soff.nsPerFrame*100)
 	}
 	sort.Float64s(pcts)
-	return on, off, pcts[len(pcts)/2]
+	return onBest, offBest, pcts[len(pcts)/2]
 }
 
 // TestTelemetryOverheadBench measures both benchmark pairs under plain
@@ -159,12 +183,8 @@ func TestTelemetryOverheadBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark harness skipped in -short mode")
 	}
-	const frames = 20_000
-	steadyOn, steadyOff, steadyPct := measurePair(t, 5, frames, 0)
-	// The churn arms are noisier than the steady ones — each sample rides
-	// through ~1000 reconfiguration windows' GC and scheduling jitter — so
-	// the median needs more pairs to settle.
-	churnOn, churnOff, churnPct := measurePair(t, 7, frames, 20)
+	steadyOn, steadyOff, steadyPct := measurePair(t, buildBenchSystem(t, 0, 0), buildBenchSystem(t, -1, 0))
+	churnOn, churnOff, churnPct := measurePair(t, buildBenchSystem(t, 0, 20), buildBenchSystem(t, -1, 20))
 
 	t.Logf("steady: on %.0f ns/frame (%.1f allocs) vs off %.0f (%.1f) = %.2f%% median overhead",
 		steadyOn.nsPerFrame, steadyOn.allocsPerFrame,

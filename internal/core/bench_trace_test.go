@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/envmon"
@@ -49,23 +48,7 @@ func TestTraceOverheadBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark harness skipped in -short mode")
 	}
-	const frames = 20_000
-	const pairs = 5
-	var on, off armSample
-	pcts := make([]float64, 0, pairs)
-	for i := 0; i < pairs; i++ {
-		son := measureSystem(t, buildTraceBenchSystem(t, false), frames)
-		soff := measureSystem(t, buildTraceBenchSystem(t, true), frames)
-		if i == 0 || son.nsPerFrame < on.nsPerFrame {
-			on = son
-		}
-		if i == 0 || soff.nsPerFrame < off.nsPerFrame {
-			off = soff
-		}
-		pcts = append(pcts, (son.nsPerFrame-soff.nsPerFrame)/soff.nsPerFrame*100)
-	}
-	sort.Float64s(pcts)
-	medianPct := pcts[len(pcts)/2]
+	on, off, medianPct := measurePair(t, buildTraceBenchSystem(t, false), buildTraceBenchSystem(t, true))
 
 	t.Logf("steady: tracing on %.0f ns/frame (%.1f allocs) vs off %.0f (%.1f) = %.2f%% median overhead",
 		on.nsPerFrame, on.allocsPerFrame, off.nsPerFrame, off.allocsPerFrame, medianPct)

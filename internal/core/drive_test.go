@@ -10,8 +10,8 @@ import (
 	"repro/internal/spectest"
 )
 
-// driveArtifacts JSON-encodes every observable artifact of a finished run,
-// matching the parity-test idiom.
+// driveArtifacts JSON-encodes the trace and the flight-recorder ring of a
+// finished run.
 func driveArtifacts(t *testing.T, s *System) (tr, ring []byte) {
 	t.Helper()
 	enc := func(v any) []byte {

@@ -145,12 +145,6 @@ type Options struct {
 	// Paced runs frames against the wall clock (soft real time) instead
 	// of as fast as possible.
 	Paced bool
-	// Sequential runs frame tasks one after another inside the scheduler's
-	// goroutine instead of on per-task goroutines — the scheduler ablation
-	// mode. Both modes must produce identical traces, reports and
-	// telemetry on the same script (the frame barrier already serializes
-	// observable effects); the parity tests hold them to that.
-	Sequential bool
 	// SkipObligations builds the system even if static obligations fail.
 	// It exists so tests can execute deliberately broken specifications
 	// and watch the runtime property checkers catch them; production
@@ -259,8 +253,9 @@ type System struct {
 
 // telObserver feeds the frame scheduler's per-frame reports into the
 // telemetry layer: it stamps the recorder with the current frame at each
-// frame start and counts barrier activity at each frame end. All counts are
-// frame-synchronous — no wall-clock quantities cross into telemetry.
+// frame start and counts frames and task and hook errors at each frame end.
+// All counts are frame-synchronous — no wall-clock quantities cross into
+// telemetry.
 type telObserver struct {
 	rec      *telemetry.Recorder
 	frames   *telemetry.Counter
@@ -459,9 +454,6 @@ func NewSystem(opts Options) (*System, error) {
 	var schedOpts []frame.Option
 	if opts.Paced {
 		schedOpts = append(schedOpts, frame.WithPacing())
-	}
-	if opts.Sequential {
-		schedOpts = append(schedOpts, frame.Sequential())
 	}
 	s.sched, err = frame.NewScheduler(rs.FrameLen, schedOpts...)
 	if err != nil {
@@ -1010,12 +1002,13 @@ func (s *System) injectHook(ctx frame.Context) error {
 	return nil
 }
 
-// Step executes one frame.
+// Step executes one frame in the caller's goroutine. It is the
+// frame-synchronous root: every task and commit hook — kernel planning,
+// membership, stable-storage commit, telemetry — runs beneath it, so the
+// allocfree discipline holds for everything Step can reach, and a panic
+// anywhere beneath it reaches Step's caller.
 //
-// planning, membership, stable-storage commit, telemetry — runs beneath it,
-// so the allocfree discipline holds for everything Step can reach.
-//
-//lint:frame-entry the frame-synchronous root: every commit hook — kernel
+//lint:frame-entry the root of the frame-synchronous call graph
 func (s *System) Step() error { return s.sched.Step() }
 
 // Run executes n frames, stopping at the first error.
@@ -1085,6 +1078,6 @@ func (s *System) CheckMembership() []membership.Violation {
 	return membership.CheckLog(s.mem.Log())
 }
 
-// Close releases the scheduler's goroutines. The system cannot run after
-// Close.
+// Close ends the system: every later Step, Run and RunUntil returns
+// frame.ErrClosed. Close is idempotent.
 func (s *System) Close() { s.sched.Close() }

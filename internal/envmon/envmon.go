@@ -126,8 +126,9 @@ type Signal struct {
 	Urgent bool
 	// Span is the signal-detection span opened for this signal, stamped by
 	// the SCRAM manager at the frame-commit delivery point — not by the
-	// monitor task, which may run concurrently with other tasks and must
-	// not touch the deterministic span counters. Zero when tracing is off.
+	// monitor task, which ticks before the commit and must not touch the
+	// deterministic span counters (span-book methods run only in commit
+	// hooks). Zero when tracing is off.
 	Span int64
 }
 

@@ -311,31 +311,22 @@ func NewSelfCheckingPair(proc *Processor) *SelfCheckingPair {
 	return &SelfCheckingPair{proc: proc}
 }
 
-// Run executes both replicas concurrently and compares their outputs. On
-// agreement it returns the common output. On divergence or on any replica
-// error it fails the underlying processor at the given frame (fail-stop) and
-// returns an error wrapping ErrDivergence.
+// Run executes replica A, then replica B, in the caller's goroutine and
+// compares their outputs. On agreement it returns the common output. On
+// divergence or on any replica error it fails the underlying processor at
+// the given frame (fail-stop) and returns an error wrapping ErrDivergence.
+// A replica panic propagates to the caller.
 func (sc *SelfCheckingPair) Run(frame int64, replicaA, replicaB Computation) ([]byte, error) {
 	if !sc.proc.Alive() {
 		return nil, fmt.Errorf("%w: %s", ErrFailed, sc.proc.ID())
 	}
-	type result struct {
-		out []byte
-		err error
-	}
-	resB := make(chan result, 1)
-	//lint:allow nofreegoroutine audited launch: replica B runs for exactly one computation and is joined on resB before Run returns
-	go func() {
-		out, err := replicaB()
-		resB <- result{out, err}
-	}()
 	outA, errA := replicaA()
-	rb := <-resB
-	if errA != nil || rb.err != nil {
+	outB, errB := replicaB()
+	if errA != nil || errB != nil {
 		sc.proc.Fail(frame)
-		return nil, fmt.Errorf("%w: replica error (a=%v, b=%v)", ErrDivergence, errA, rb.err)
+		return nil, fmt.Errorf("%w: replica error (a=%v, b=%v)", ErrDivergence, errA, errB)
 	}
-	if !bytes.Equal(outA, rb.out) {
+	if !bytes.Equal(outA, outB) {
 		sc.proc.Fail(frame)
 		return nil, fmt.Errorf("%w: outputs differ on processor %s", ErrDivergence, sc.proc.ID())
 	}

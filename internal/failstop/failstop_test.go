@@ -216,6 +216,25 @@ func TestSelfCheckingPairReplicaError(t *testing.T) {
 	}
 }
 
+// TestSelfCheckingPairReplicaPanicReachesCaller pins that both replicas run
+// in the caller's goroutine: a panic in replica B reaches the caller's
+// recover, where an isolation boundary such as the fleet's shard worker can
+// quarantine the tenant, instead of killing the process.
+func TestSelfCheckingPairReplicaPanicReachesCaller(t *testing.T) {
+	sc := NewSelfCheckingPair(NewProcessor("p1", spec.Resources{CPU: 1}, spec.Resources{}, nil))
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_, _ = sc.Run(1,
+			func() ([]byte, error) { return []byte("ok"), nil },
+			func() ([]byte, error) { panic("replica b") },
+		)
+	}()
+	if got != "replica b" {
+		t.Errorf("recovered %v, want replica B's panic", got)
+	}
+}
+
 func TestPoolLookupAndOrder(t *testing.T) {
 	pool := NewPool(testPlatform())
 	procs := pool.Procs()

@@ -3,7 +3,6 @@ package frame
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,7 +11,6 @@ import (
 // countingTask records the frames it has seen.
 type countingTask struct {
 	id     string
-	mu     sync.Mutex
 	frames []int64
 	err    error // returned from every Tick when non-nil
 }
@@ -20,23 +18,13 @@ type countingTask struct {
 func (c *countingTask) TaskID() string { return c.id }
 
 func (c *countingTask) Tick(ctx Context) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.frames = append(c.frames, ctx.Frame)
 	return c.err
 }
 
-func (c *countingTask) seen() []int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]int64, len(c.frames))
-	copy(out, c.frames)
-	return out
-}
-
-func newScheduler(t *testing.T, opts ...Option) *Scheduler {
+func newScheduler(t *testing.T) *Scheduler {
 	t.Helper()
-	s, err := NewScheduler(time.Millisecond, opts...)
+	s, err := NewScheduler(time.Millisecond)
 	if err != nil {
 		t.Fatalf("NewScheduler: %v", err)
 	}
@@ -66,7 +54,7 @@ func TestAllTasksSeeEveryFrameInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, task := range tasks {
-		got := task.seen()
+		got := task.frames
 		if len(got) != 10 {
 			t.Fatalf("task %s saw %d frames, want 10", task.id, len(got))
 		}
@@ -162,7 +150,7 @@ func TestTaskErrorReportedAndFrameAdvances(t *testing.T) {
 	if s.Frame() != 1 {
 		t.Errorf("frame did not advance after task error: %d", s.Frame())
 	}
-	if len(good.seen()) != 1 {
+	if len(good.frames) != 1 {
 		t.Error("good task was not ticked in the failing frame")
 	}
 	// Scheduler remains usable.
@@ -189,38 +177,6 @@ func TestDuplicateAndUnknownTask(t *testing.T) {
 	if err := s.AddTask(&countingTask{id: "a"}); !errors.Is(err, ErrDuplicateTask) {
 		t.Errorf("duplicate AddTask = %v, want ErrDuplicateTask", err)
 	}
-	if err := s.RemoveTask("ghost"); !errors.Is(err, ErrUnknownTask) {
-		t.Errorf("RemoveTask(ghost) = %v, want ErrUnknownTask", err)
-	}
-}
-
-func TestRemoveTaskStopsTicking(t *testing.T) {
-	s := newScheduler(t)
-	a := &countingTask{id: "a"}
-	b := &countingTask{id: "b"}
-	for _, task := range []*countingTask{a, b} {
-		if err := s.AddTask(task); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Run(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RemoveTask("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(2); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(a.seen()); n != 3 {
-		t.Errorf("removed task ticked %d times, want 3", n)
-	}
-	if n := len(b.seen()); n != 5 {
-		t.Errorf("remaining task ticked %d times, want 5", n)
-	}
-	if ids := s.TaskIDs(); len(ids) != 1 || ids[0] != "b" {
-		t.Errorf("TaskIDs = %v, want [b]", ids)
-	}
 }
 
 func TestAddTaskMidRun(t *testing.T) {
@@ -239,7 +195,7 @@ func TestAddTaskMidRun(t *testing.T) {
 	if err := s.Run(3); err != nil {
 		t.Fatal(err)
 	}
-	got := late.seen()
+	got := late.frames
 	if len(got) != 3 || got[0] != 2 {
 		t.Errorf("late task saw frames %v, want [2 3 4]", got)
 	}
@@ -263,33 +219,6 @@ func TestRunUntil(t *testing.T) {
 	}
 	if fired {
 		t.Error("RunUntil fired without condition")
-	}
-}
-
-func TestSequentialModeMatchesConcurrent(t *testing.T) {
-	for _, mode := range []string{"concurrent", "sequential"} {
-		t.Run(mode, func(t *testing.T) {
-			var opts []Option
-			if mode == "sequential" {
-				opts = append(opts, Sequential())
-			}
-			s := newScheduler(t, opts...)
-			tasks := make([]*countingTask, 3)
-			for i := range tasks {
-				tasks[i] = &countingTask{id: fmt.Sprintf("t%d", i)}
-				if err := s.AddTask(tasks[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := s.Run(5); err != nil {
-				t.Fatal(err)
-			}
-			for _, task := range tasks {
-				if n := len(task.seen()); n != 5 {
-					t.Errorf("%s: task %s ticked %d, want 5", mode, task.id, n)
-				}
-			}
-		})
 	}
 }
 
@@ -350,8 +279,5 @@ func TestClosedSchedulerRefusesEverything(t *testing.T) {
 	}
 	if err := s.AddTask(&countingTask{id: "b"}); !errors.Is(err, ErrClosed) {
 		t.Errorf("AddTask after close = %v", err)
-	}
-	if err := s.RemoveTask("a"); !errors.Is(err, ErrClosed) {
-		t.Errorf("RemoveTask after close = %v", err)
 	}
 }

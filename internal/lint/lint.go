@@ -28,7 +28,7 @@
 // placed on the offending line or on the line immediately above it. The
 // reason is mandatory: a directive without one does not suppress anything.
 // Suppressions are how audited exceptions (the frame scheduler's pacing
-// clock, the fail-stop pool's monitored goroutine launches) stay legal
+// clock, the campaign pool's and the fleet's goroutine launches) stay legal
 // while remaining greppable.
 package lint
 

@@ -3,10 +3,11 @@ package lint
 import "go/ast"
 
 // frameSyncPkgs names the packages implementing the frame-synchronous
-// model. The model has no free-running concurrency: everything executes in
-// lock step with the frame, so a `go` statement in these packages is either
-// a bug or an audited exception (the frame scheduler's worker launches, the
-// fail-stop pool's monitored goroutines) that must carry a //lint:allow
+// model, plus the off-path packages that sit next to it. The model has no
+// free-running concurrency: a System runs every frame in its caller's
+// goroutine, so a `go` statement in these packages is either a bug or an
+// audited exception (the campaign worker pool, the serve listener, the
+// fleet's scheduler loop and shard workers) that must carry a //lint:allow
 // annotation naming its justification.
 var frameSyncPkgs = map[string]bool{
 	"scram":      true,

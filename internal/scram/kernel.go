@@ -285,9 +285,8 @@ func (k *Kernel) TrimEvents(before int64) {
 
 // Signal delivers a component-failure or environment-change signal to the
 // kernel. Per Figure 1 of the paper, signals travel on a direct path (not
-// through stable storage). Signal is safe to call from monitor tasks running
-// concurrently within a frame; the kernel processes all signals of frame k
-// during k's commit step.
+// through stable storage). Monitor tasks call Signal during a frame; the
+// kernel processes all signals of frame k during k's commit step.
 func (k *Kernel) Signal(sig envmon.Signal) {
 	k.mu.Lock()
 	defer k.mu.Unlock()

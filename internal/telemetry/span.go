@@ -64,9 +64,8 @@ const maxChainDepth = 8
 //
 // All methods are nil-receiver safe no-ops, so instrumented subsystems
 // carry a possibly-nil *SpanBook without per-call checks. Methods must be
-// called from frame-commit hooks (single-threaded); the mutex exists for
-// the Enabled check from concurrent readers, not to make span opening from
-// racing task goroutines deterministic — it cannot.
+// called from frame-commit hooks; the mutex exists for the Enabled check
+// from concurrent readers.
 type SpanBook struct {
 	mu   sync.Mutex
 	sink Sink
