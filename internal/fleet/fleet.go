@@ -455,7 +455,8 @@ func (t *Tenant) quarantineLocked(reason string) {
 // the host durable.
 type Config struct {
 	// Shards is the number of worker goroutines sweeping the fleet
-	// (default: GOMAXPROCS).
+	// (default: GOMAXPROCS). Recover does not use it: it rebuilds tenants
+	// before the sweep starts, on every core, whatever Shards is.
 	Shards int
 	// Batch is the number of frames each tenant is stepped per sweep
 	// (default 8). Larger batches amortize sweep overhead; smaller ones
@@ -965,29 +966,37 @@ func (h *Host) run() {
 			}
 			continue
 		}
-		shards := h.cfg.Shards
-		if shards > len(batch) {
-			shards = len(batch)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < shards; w++ {
-			w := w
-			wg.Add(1)
-			//lint:allow nofreegoroutine audited shard worker: steps disjoint tenants for one sweep and is joined by the WaitGroup barrier
-			go func() {
-				defer wg.Done()
-				var stepped int64
-				for i := w; i < len(batch); i += shards {
-					stepped += batch[i].stepBatch(h.cfg.Batch)
-				}
-				h.frames.Add(stepped)
-			}()
-		}
-		wg.Wait()
+		forEach(len(batch), h.cfg.Shards, func(i int) {
+			h.frames.Add(batch[i].stepBatch(h.cfg.Batch))
+		})
 		// The sweep barrier is also the checkpoint barrier: no tenant is
 		// mid-frame here, so every journaled frame is a committed boundary.
 		h.checkpoint(false)
 	}
+}
+
+// forEach calls fn(i) for every i in [0, n) on at most workers goroutines,
+// each taking the next index from a shared counter, and returns once every
+// call has returned. Callers give each index state no other index touches.
+func forEach(n, workers int, fn func(i int)) {
+	workers = min(workers, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		//lint:allow nofreegoroutine audited worker pool: each call runs disjoint indices (tenants) and is joined by the WaitGroup barrier before forEach returns
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // running snapshots the currently running tenants in spawn order.

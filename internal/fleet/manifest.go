@@ -314,13 +314,9 @@ func loadManifest(st *stable.Store) (map[string]*tenantManifest, []string, error
 		}
 		sort.Slice(tm.Injections, func(i, j int) bool { return tm.Injections[i].Ord < tm.Injections[j].Ord })
 	}
-	sort.Strings(unrecoverable)
-	if len(parseErrs) > 0 {
-		// Foreign keys under the manifest prefix are converged past too,
-		// but deserve a surfaced note rather than silence.
-		unrecoverable = append(unrecoverable, parseErrs...)
-	}
-	return tenants, unrecoverable, nil
+	// Foreign keys under the manifest prefix are converged past too, but
+	// deserve a surfaced note rather than silence.
+	return tenants, append(unrecoverable, parseErrs...), nil
 }
 
 // parseManifestKey splits manifest/t/<id>/spawn|ckpt|inj/<ord>.

@@ -3,12 +3,12 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/envmon"
 	"repro/internal/spec"
-	"repro/internal/telemetry/serve"
 )
 
 // This file is the host's crash-restart path. A fleet host is itself a
@@ -24,8 +24,9 @@ import (
 // Failure handling is self-stabilizing: a tenant whose replay recipe is
 // damaged (a record lost on every replica, an undecodable record, a replay
 // that errors) is quarantined with the damage as its reason; a tenant whose
-// spawn record is gone entirely is dropped and reported. No single tenant's
-// damage stops any other tenant from recovering.
+// spawn record is gone entirely, or whose spec no longer builds, is dropped
+// and reported. No single tenant's damage stops any other tenant from
+// recovering.
 
 // Recovery reports what a Recover call rebuilt.
 type Recovery struct {
@@ -38,7 +39,9 @@ type Recovery struct {
 	// into their pre-crash quarantine, or damaged beyond faithful replay.
 	Quarantined []string `json:"quarantined,omitempty"`
 	// Dropped lists tenants (or foreign manifest keys) that could not be
-	// restored at all: nothing to respawn from. Converged past, reported.
+	// restored at all: nothing to respawn from, because the spawn record is
+	// lost or its spec no longer builds. Converged past, reported, sorted.
+	// Their manifest keys are left as they are.
 	Dropped []string `json:"dropped,omitempty"`
 }
 
@@ -46,6 +49,12 @@ type Recovery struct {
 // fleet out of cfg.Manifest before starting the scheduler. It is NewHost for
 // a store that already has history; on a fresh store it degenerates to an
 // empty durable host.
+//
+// Tenants share nothing, so their rebuilds run in parallel on every core
+// (GOMAXPROCS, not cfg.Shards: nothing else on the host runs until Recover
+// returns). Registration then runs in spawn order, so listings, the sweep,
+// the dedupe cache and the post-mortem LRU see the fleet exactly as a
+// serial rebuild would.
 func Recover(cfg Config) (*Host, *Recovery, error) {
 	if cfg.Manifest == nil {
 		return nil, nil, errors.New("fleet: Recover needs Config.Manifest")
@@ -71,13 +80,22 @@ func Recover(cfg Config) (*Host, *Recovery, error) {
 		return ids[i] < ids[j]
 	})
 
+	rebuilt := make([]*Tenant, len(ids))
+	forEach(len(ids), runtime.GOMAXPROCS(0), func(i int) {
+		rebuilt[i] = h.recoverTenant(ids[i], manifests[ids[i]])
+	})
+
 	maxSeq := int64(-1)
-	for _, id := range ids {
+	for i, id := range ids {
 		tm := manifests[id]
-		if tm.Seq > maxSeq {
-			maxSeq = tm.Seq
+		// A dropped tenant's keys stay in the manifest, so its seq stays
+		// taken: later spawns must not reorder the next recovery.
+		maxSeq = max(maxSeq, tm.Seq)
+		t := rebuilt[i]
+		if t == nil {
+			rec.Dropped = append(rec.Dropped, id)
+			continue
 		}
-		t := h.recoverTenant(id, tm)
 		h.tenants[id] = t
 		h.order = append(h.order, id)
 		rec.Tenants++
@@ -88,32 +106,51 @@ func Recover(cfg Config) (*Host, *Recovery, error) {
 			rec.Completed++
 		case StateQuarantined:
 			rec.Quarantined = append(rec.Quarantined, id)
+			h.noteQuarantine(t)
 		}
 		for _, ir := range tm.Injections {
 			h.primeDedupe(id, ir.RequestID, ir.Applied)
 		}
 	}
 	sort.Strings(rec.Quarantined)
+	sort.Strings(rec.Dropped)
 	h.spawnSeq = maxSeq + 1
 
 	h.startLoop()
 	return h, rec, nil
 }
 
-// recoverTenant rebuilds one tenant from its manifest recipe. It never
-// fails: damage becomes quarantine, so the rest of the fleet recovers
-// regardless. The returned tenant is not yet registered or stepped.
+// recoverTenant rebuilds one tenant from its manifest recipe, touching no
+// other tenant and no host state, so rebuilds may run in parallel. Damage
+// becomes quarantine, so the rest of the fleet recovers regardless. A spec
+// that no longer builds — a preset this build does not have — leaves
+// nothing to respawn from: recoverTenant returns nil and the tenant is
+// dropped. The returned tenant is not yet registered or stepped.
 func (h *Host) recoverTenant(id string, tm *tenantManifest) *Tenant {
+	opts, err := SpawnOptions(tm.Spec)
+	if err != nil {
+		return nil
+	}
+	sys, err := core.NewSystem(opts)
+	if err != nil {
+		return nil
+	}
 	t := &Tenant{
-		id:   id,
-		spec: tm.Spec,
-		host: h,
+		id:       id,
+		spec:     tm.Spec,
+		host:     h,
+		sys:      sys,
+		frameLen: opts.Spec.FrameLen,
 	}
 	if tm.Damaged != "" {
-		return quarantineForRecovery(h, t, tm, "recovery: "+tm.Damaged)
+		// Parked on the fresh, unstepped system, so the control plane can
+		// report it like any other quarantined tenant.
+		t.quarantineLocked("recovery: " + tm.Damaged)
+		return t
 	}
 	if err := t.replay(tm); err != nil {
-		return quarantineForRecovery(h, t, tm, "recovery: "+err.Error())
+		t.quarantineLocked("recovery: " + err.Error())
+		return t
 	}
 	// Replay landed; the checkpoint's lifecycle state (or the frame budget)
 	// decides how the tenant rejoins the fleet.
@@ -132,42 +169,15 @@ func (h *Host) recoverTenant(id string, tm *tenantManifest) *Tenant {
 	return t
 }
 
-// quarantineForRecovery parks an unreplayable tenant: quarantined, with a
-// fresh (unstepped) system if the spec still builds, so the control plane
-// can report it without tripping over a nil system.
-func quarantineForRecovery(h *Host, t *Tenant, tm *tenantManifest, reason string) *Tenant {
-	if t.sys == nil {
-		if opts, err := SpawnOptions(tm.Spec); err == nil {
-			if sys, err := core.NewSystem(opts); err == nil {
-				t.sys = sys
-				t.frameLen = opts.Spec.FrameLen
-			}
-		}
-	}
-	t.state = StateQuarantined
-	t.reason = reason
-	t.final = &serve.Snapshot{}
-	return t
-}
-
-// replay re-executes the tenant's pre-crash run: spawn from the spec,
-// schedule the acked processor events up front (scheduling early is
+// replay re-executes the tenant's pre-crash run on its freshly spawned
+// system: schedule the acked processor events up front (scheduling early is
 // observably identical to scripting them), then walk the remaining acked
 // injections in ord order, stepping to each one's applied frame before
 // applying it. The final StepTo lands on the last checkpointed boundary (or
 // the last injection barrier, whichever is later) — every frame up to there
 // re-executes with the same deterministic inputs as the first time.
 func (t *Tenant) replay(tm *tenantManifest) (err error) {
-	opts, err := SpawnOptions(tm.Spec)
-	if err != nil {
-		return err
-	}
-	sys, err := core.NewSystem(opts)
-	if err != nil {
-		return err
-	}
-	t.sys = sys
-	t.frameLen = opts.Spec.FrameLen
+	sys := t.sys
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("replay panicked: %v", r)

@@ -8,9 +8,14 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/stable"
@@ -409,5 +414,285 @@ func TestDrainBeatsCrash(t *testing.T) {
 	ten2, _ := h2.Get("d")
 	if got := ten2.Status().Frame; got < drained {
 		t.Fatalf("recovered at frame %d, drained at %d: Drain lost progress", got, drained)
+	}
+}
+
+// tearOnEveryReplica flips a byte of key's record on every medium: the CRC
+// fails everywhere, so the record is lost on all replicas.
+func tearOnEveryReplica(t *testing.T, media []stable.Medium, key string) {
+	t.Helper()
+	for i, m := range media {
+		raw, ok := m.Read(key)
+		if !ok || len(raw) < 4 {
+			t.Fatalf("record %s missing on replica %d", key, i)
+		}
+		raw[len(raw)-3] ^= 0xFF
+		if err := m.Write(key, raw); err != nil {
+			t.Fatalf("tear %s on replica %d: %v", key, i, err)
+		}
+	}
+}
+
+// ackManual runs an injection through the host's full control-plane path
+// on a host without a scheduler loop: once the injection is applied, it
+// steps the tenant one frame so the commit barrier releases the ack.
+func ackManual(t *testing.T, h *Host, ten *Tenant, inj Injection) AckedInjection {
+	t.Helper()
+	ten.mu.Lock()
+	ord := ten.injSeq
+	ten.mu.Unlock()
+	type ack struct {
+		applied int64
+		err     error
+	}
+	acked := make(chan ack, 1)
+	go func() {
+		applied, err := h.Inject(ten.ID(), inj)
+		acked <- ack{applied, err}
+	}()
+	waitFor(t, "injection applied", func() bool {
+		ten.mu.Lock()
+		defer ten.mu.Unlock()
+		return ten.injSeq > ord
+	})
+	ten.stepBatch(1)
+	a := <-acked
+	if a.err != nil {
+		t.Fatalf("inject %s: %v", ten.ID(), a.err)
+	}
+	return AckedInjection{Inj: inj, Applied: a.applied}
+}
+
+// TestRecoverParallelRebuild drives the parallel rebuild with more tenants
+// than twice the worker count, covering every fate a tenant can meet:
+// completed, running, re-quarantined, damage-quarantined, and dropped for a
+// lost spawn record or a spec that no longer builds. The fates interleave in
+// spawn order and tenant ids do not sort in spawn order, so the report, the
+// listing and every replayed tenant's bytes must come out exactly as a
+// serial rebuild would give them.
+func TestRecoverParallelRebuild(t *testing.T) {
+	fates := []string{"completed", "running", "requarantined", "damaged", "lost", "retired"}
+	perFate := max(2, (2*runtime.GOMAXPROCS(0)+2+len(fates)-1)/len(fates))
+	media := []stable.Medium{stable.NewMemMedium(), stable.NewMemMedium()}
+	h := manualHost(t, durableConfig(stable.NewHardened(stable.MountReplicatedStore(media...))))
+
+	want := &Recovery{Running: perFate, Completed: perFate}
+	var order []string // spawn order of the tenants recovery keeps
+	var torn, lost []string
+	acks := make(map[string][]AckedInjection)
+	for i := 0; i < perFate*len(fates); i++ {
+		fate := fates[i%len(fates)]
+		// Ids sort by fate, not by spawn order.
+		id := fmt.Sprintf("%s-%02d", fate, i)
+		if fate == "retired" {
+			// A CRC-valid spawn record naming a preset this build lacks.
+			if err := h.man.recordSpawn(h.spawnSeq, SpawnSpec{ID: id, Preset: "retired-preset", Seed: 1}); err != nil {
+				t.Fatalf("record %s: %v", id, err)
+			}
+			h.spawnSeq++
+			want.Dropped = append(want.Dropped, id)
+			continue
+		}
+		ss := SpawnSpec{ID: id, Preset: "threeconfig", Seed: int64(500 + i)}
+		if fate == "completed" {
+			ss.Frames = 48
+		}
+		ten, err := h.Spawn(ss)
+		if err != nil {
+			t.Fatalf("spawn %s: %v", id, err)
+		}
+		ten.stepBatch(12 + i%5)
+		acks[id] = append(acks[id], ackManual(t, h, ten, Injection{Kind: "env", Factor: "alt1", Value: "failed", RequestID: "req-" + id}))
+		ten.stepBatch(8)
+		switch fate {
+		case "completed":
+			ten.stepBatch(64)
+		case "requarantined":
+			if _, err := h.Inject(id, Injection{Kind: "panic"}); err != nil {
+				t.Fatalf("arm %s: %v", id, err)
+			}
+			ten.stepBatch(1)
+			want.Quarantined = append(want.Quarantined, id)
+		case "damaged":
+			torn = append(torn, id)
+			want.Quarantined = append(want.Quarantined, id)
+		case "lost":
+			lost = append(lost, id)
+			want.Dropped = append(want.Dropped, id)
+			continue
+		}
+		want.Tenants++
+		order = append(order, id)
+	}
+	// The crash: everything journaled so far survives, nothing else.
+	h.checkpoint(true)
+	for _, id := range torn {
+		tearOnEveryReplica(t, media, injKey(id, 0))
+	}
+	for _, id := range lost {
+		for _, m := range media {
+			m.Delete(spawnKey(id))
+		}
+	}
+	sort.Strings(want.Quarantined)
+	sort.Strings(want.Dropped)
+
+	h2, rec, err := Recover(durableConfig(stable.NewHardened(stable.MountReplicatedStore(media...))))
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	defer h2.Close()
+	if !reflect.DeepEqual(rec, want) {
+		t.Fatalf("recovery = %+v\nwant       %+v", rec, want)
+	}
+	var listed []string
+	for _, st := range h2.List() {
+		listed = append(listed, st.ID)
+	}
+	if !reflect.DeepEqual(listed, order) {
+		t.Fatalf("List order = %v\nwant spawn order %v", listed, order)
+	}
+
+	for _, id := range order {
+		ten, _ := h2.Get(id)
+		switch st := ten.Status(); {
+		case strings.HasPrefix(id, "damaged"):
+			if st.State != StateQuarantined || !strings.Contains(st.Reason, "lost on all replicas") {
+				t.Errorf("%s = %+v, want quarantined for its lost injection record", id, st)
+			}
+			continue
+		case strings.HasPrefix(id, "running"):
+			// Bring it to rest where the sweep has taken it since, so the
+			// check covers the replayed prefix and the resumed run.
+			inj := Injection{Kind: "panic"}
+			applied, err := h2.Inject(id, inj)
+			if err != nil {
+				t.Fatalf("arm %s: %v", id, err)
+			}
+			acks[id] = append(acks[id], AckedInjection{Inj: inj, Applied: applied})
+			waitFor(t, id+" at rest", func() bool { return ten.Status().State == StateQuarantined })
+		}
+		if err := CheckEquivalence(ten, acks[id]); err != nil {
+			t.Errorf("after parallel rebuild: %v", err)
+		}
+	}
+}
+
+// TestRecoverDropsUnbuildableSpec: a CRC-valid spawn record whose preset
+// this build does not have — one an older fleetd wrote — has nothing to
+// respawn from. Recovery drops and reports it and leaves its keys alone,
+// and the recovered host runs: the sweep's checkpoint barrier, List, Stats
+// and Close never meet a tenant without a system.
+func TestRecoverDropsUnbuildableSpec(t *testing.T) {
+	dir := t.TempDir()
+	h := manualHost(t, durableConfig(mountFileManifest(t, dir)))
+	ten, err := h.Spawn(SpawnSpec{ID: "ok", Preset: "threeconfig", Seed: 6, Frames: 80})
+	if err != nil {
+		t.Fatalf("spawn: %v", err)
+	}
+	ten.stepBatch(8)
+	h.checkpoint(true)
+	retired := SpawnSpec{ID: "retired", Preset: "retired-preset", Seed: 7}
+	if err := h.man.recordSpawn(h.spawnSeq, retired); err != nil {
+		t.Fatalf("record retired spawn: %v", err)
+	}
+
+	h2, rec, err := Recover(durableConfig(mountFileManifest(t, dir)))
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	defer h2.Close()
+	// ok comes back running, so only checkpoint barriers after recovery
+	// can record its completion.
+	if !reflect.DeepEqual(rec, &Recovery{Tenants: 1, Running: 1, Dropped: []string{"retired"}}) {
+		t.Fatalf("recovery = %+v, want ok running and retired dropped", rec)
+	}
+	healthy, _ := h2.Get("ok")
+	waitFor(t, "ok completed and checkpointed", func() bool {
+		healthy.mu.Lock()
+		defer healthy.mu.Unlock()
+		return healthy.state == StateCompleted && healthy.lastCkptState == StateCompleted
+	})
+	if list := h2.List(); len(list) != 1 || list[0].ID != "ok" {
+		t.Fatalf("List = %+v, want only ok", list)
+	}
+	if st := h2.Stats(); st.Tenants[StateCompleted] != 1 || len(st.Tenants) != 1 {
+		t.Fatalf("Stats tenants = %v, want one completed", st.Tenants)
+	}
+	h2.Close()
+
+	var sr spawnRecord
+	if found, err := mountFileManifest(t, dir).GetJSON(spawnKey("retired"), &sr); !found || err != nil || !reflect.DeepEqual(sr.Spec, retired) {
+		t.Fatalf("retired spawn record after recovery = %+v (found %v, err %v), want it untouched", sr, found, err)
+	}
+}
+
+// TestRecoverQuarantinesEnterSnapshotLRU: recovered quarantines register in
+// the post-mortem LRU like live ones, so the cap holds after a restart, and
+// a damaged tenant's cached snapshot is the one re-recovery rebuilds, so
+// eviction stays invisible to readers.
+func TestRecoverQuarantinesEnterSnapshotLRU(t *testing.T) {
+	media := []stable.Medium{stable.NewMemMedium(), stable.NewMemMedium()}
+	h := manualHost(t, durableConfig(stable.NewHardened(stable.MountReplicatedStore(media...))))
+	tens := make(map[string]*Tenant)
+	for i, id := range []string{"q-0", "q-1", "dmg"} {
+		ten, err := h.Spawn(SpawnSpec{ID: id, Preset: "threeconfig", Seed: int64(60 + i)})
+		if err != nil {
+			t.Fatalf("spawn %s: %v", id, err)
+		}
+		tens[id] = ten
+		ten.stepBatch(8)
+	}
+	for _, id := range []string{"q-0", "q-1"} {
+		if _, err := h.Inject(id, Injection{Kind: "panic"}); err != nil {
+			t.Fatalf("arm %s: %v", id, err)
+		}
+		tens[id].stepBatch(1)
+	}
+	ackManual(t, h, tens["dmg"], Injection{Kind: "env", Factor: "alt1", Value: "failed"})
+	h.checkpoint(true)
+	tearOnEveryReplica(t, media, injKey("dmg", 0))
+
+	cfg := durableConfig(stable.NewHardened(stable.MountReplicatedStore(media...)))
+	cfg.QuarantineCache = 1
+	h2, rec, err := Recover(cfg)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	defer h2.Close()
+	if !reflect.DeepEqual(rec.Quarantined, []string{"dmg", "q-0", "q-1"}) {
+		t.Fatalf("recovery = %+v, want three quarantines", rec)
+	}
+	cached := 0
+	for _, id := range rec.Quarantined {
+		ten, _ := h2.Get(id)
+		ten.mu.Lock()
+		if ten.final != nil {
+			cached++
+		}
+		ten.mu.Unlock()
+	}
+	if occ := h2.Stats().QuarantineCached; cached != 1 || occ != 1 {
+		t.Fatalf("%d cached snapshots, Stats reports %d: want the cap of 1 after recovery", cached, occ)
+	}
+
+	// dmg registered last, so its recovery-time snapshot is the cached
+	// one; serving q-0 evicts it, and the next read re-recovers it.
+	dmg, _ := h2.Get("dmg")
+	before, ok := dmg.TelemetrySnapshot()
+	if !ok {
+		t.Fatal("no snapshot for dmg")
+	}
+	q0, _ := h2.Get("q-0")
+	q0.TelemetrySnapshot()
+	dmg.mu.Lock()
+	evicted := dmg.final == nil
+	dmg.mu.Unlock()
+	if !evicted {
+		t.Fatal("serving q-0 did not evict dmg under a cap of 1")
+	}
+	after, _ := dmg.TelemetrySnapshot()
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("dmg's snapshot changed across eviction:\nbefore %+v\nafter  %+v", before, after)
 	}
 }
