@@ -36,7 +36,8 @@ import (
 //
 // Injections carry an optional request_id; repeats with the same id replay
 // the first outcome (see Host.Inject), making retries across timeouts — and
-// across a host crash — safe.
+// across a host crash — safe. Failures answer with the status of their
+// cause (statusOf).
 type API struct {
 	host *Host
 	// sem is the admission-control semaphore for mutating requests.
@@ -136,11 +137,7 @@ func (a *API) handleSpawn(w http.ResponseWriter, r *http.Request) {
 	}
 	t, err := a.host.Spawn(ss)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, errTenantExists) {
-			status = http.StatusConflict
-		}
-		http.Error(w, err.Error(), status)
+		http.Error(w, err.Error(), statusOf(err))
 		return
 	}
 	writeJSON(w, http.StatusCreated, t.Status())
@@ -173,7 +170,7 @@ type killBody struct {
 func (a *API) handleKill(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if err := a.host.Kill(id); err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		http.Error(w, err.Error(), statusOf(err))
 		return
 	}
 	writeJSON(w, http.StatusOK, killBody{ID: id, Killed: true})
@@ -200,7 +197,7 @@ func (a *API) handleInject(w http.ResponseWriter, r *http.Request) {
 	// and durable journaling before the ack.
 	frame, err := a.host.Inject(t.ID(), inj)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), statusOf(err))
 		return
 	}
 	writeJSON(w, http.StatusOK, injectBody{ID: t.ID(), Kind: inj.Kind, AppliedFrame: frame})
@@ -230,5 +227,29 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, a.host.Stats())
 }
 
-// errTenantExists tags Spawn's duplicate-id error for the 409 mapping.
-var errTenantExists = errors.New("tenant id already exists")
+// The control plane's failure causes. Errors wrap one of these so statusOf
+// can answer by cause; anything else is a bad request.
+var (
+	errNoTenant     = errors.New("no such tenant")
+	errTenantExists = errors.New("tenant id already exists")
+	errNotRunning   = errors.New("not running")
+	errHostClosed   = errors.New("host closed")
+	errManifest     = errors.New("manifest fault")
+)
+
+// statusOf maps a control-plane error to its HTTP status: 404 for an
+// unknown tenant; 409 for a duplicate id, or a tenant that is not running or
+// was quarantined before its frame committed; 503 when the host cannot
+// commit (a latched manifest fault, or a host closed before the frame ran);
+// 400 for a request the host rejected as malformed.
+func statusOf(err error) int {
+	switch {
+	case errors.Is(err, errNoTenant):
+		return http.StatusNotFound
+	case errors.Is(err, errTenantExists), errors.Is(err, errNotRunning):
+		return http.StatusConflict
+	case errors.Is(err, errManifest), errors.Is(err, errHostClosed):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusBadRequest
+}

@@ -12,6 +12,11 @@
 // stable storage, and the sweep moves on. A fail-stopped or panicked tenant
 // never stalls the scheduler and never touches another tenant's state.
 //
+// A tenant holds its System exactly while it can still step. Once it
+// completes, is quarantined, is killed or its host closes, it freezes the
+// snapshot it serves from then on and releases the System: at rest, as
+// after a fail-stop halt, only the black box remains.
+//
 // Determinism survives multiplexing because tenants share nothing: each
 // system owns its environment, pool, telemetry and trace RNG (seeded from
 // SpawnSpec.Seed), and control-plane injections are serialized with stepping
@@ -110,27 +115,29 @@ const (
 	StateQuarantined State = "quarantined"
 )
 
+// killedReason is the quarantine reason Kill records.
+const killedReason = "killed"
+
 // Tenant is one hosted system. All access to the underlying System is
 // serialized by mu: the shard worker holds it while stepping, the control
 // plane holds it while injecting or snapshotting, so injections always land
-// between frames.
+// between frames. The System is held only while the tenant can step; a
+// tenant at rest (completed, quarantined, killed, or on a closed host)
+// serves the snapshot it froze when it let the System go.
 type Tenant struct {
 	id   string
 	spec SpawnSpec
-	// host backlinks to the owning Host for the quarantine-snapshot LRU;
-	// nil for hand-built test tenants (then snapshots cache unbounded,
-	// the pre-LRU behavior).
-	host *Host
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// sys is the live system, held exactly while the tenant can still
+	// step; nil once the tenant is at rest (see restLocked).
 	sys    *core.System
 	state  State
 	reason string
 	// cond (on mu) is the frame barrier: stepBatch broadcasts after every
 	// batch and every lifecycle transition, and Inject waits on it until
 	// the injected frame has committed — the applied_frame ack is never
-	// issued for a frame the tenant did not execute. Lazily created so
-	// hand-built test tenants work.
+	// issued for a frame the tenant did not execute.
 	cond *sync.Cond
 	// injSeq orders injections within the tenant: assigned under mu at
 	// apply time, it is the replay order journaled in the manifest.
@@ -139,38 +146,43 @@ type Tenant struct {
 	// frame (0 disarms). Deterministic, so a recovered tenant re-armed
 	// with the same frame re-quarantines identically.
 	panicAt int64
-	// final is the cached post-mortem snapshot of a quarantined tenant,
-	// recovered from committed stable storage (the black box), so the
-	// serve plane never touches a possibly-torn live system again. The
-	// host's LRU may evict it (nil again); it is then re-recovered from
-	// the same stable storage on demand.
-	final *serve.Snapshot
+	// final is the snapshot a tenant at rest serves, frozen when it
+	// released its System. Its Events and Metrics are fresh copies that
+	// nothing mutates, so readers share them.
+	final serve.Snapshot
 	// lastCkptFrame/lastCkptState track what the manifest already has, so
 	// the checkpoint sweep only stages tenants that moved.
 	lastCkptFrame int64
 	lastCkptState State
-	// closed marks the underlying system torn down (killed tenant, closed
-	// host): no snapshot re-recovery, no frame reads.
-	closed bool
 
 	frameLen time.Duration
 }
 
-// condLocked returns the tenant's frame-barrier cond, creating it on first
-// use. Callers hold mu.
-func (t *Tenant) condLocked() *sync.Cond {
-	if t.cond == nil {
-		t.cond = sync.NewCond(&t.mu)
-	}
-	return t.cond
+// newTenant wraps a freshly built System as a running tenant.
+func newTenant(ss SpawnSpec, sys *core.System, frameLen time.Duration) *Tenant {
+	t := &Tenant{id: ss.ID, spec: ss, sys: sys, state: StateRunning, frameLen: frameLen}
+	t.cond = sync.NewCond(&t.mu)
+	return t
 }
 
-// broadcastLocked wakes injection barriers after progress or a lifecycle
-// transition. Callers hold mu.
-func (t *Tenant) broadcastLocked() {
-	if t.cond != nil {
-		t.cond.Broadcast()
+// frameLocked is the next frame the tenant would execute: the live
+// system's, or the frame it came to rest at. Callers hold mu.
+func (t *Tenant) frameLocked() int64 {
+	if t.sys == nil {
+		return t.final.Frame
 	}
+	return t.sys.Frame()
+}
+
+// restLocked brings the tenant to rest: it serves final from now on, closes
+// and drops its System, and wakes injection barriers. Callers hold mu.
+func (t *Tenant) restLocked(final serve.Snapshot) {
+	t.final = final
+	if t.sys != nil {
+		t.sys.Close()
+		t.sys = nil
+	}
+	t.cond.Broadcast()
 }
 
 // Status is a tenant's control-plane view.
@@ -198,48 +210,33 @@ func (t *Tenant) Status() Status {
 		Preset: t.spec.Preset,
 		Seed:   t.spec.Seed,
 		State:  t.state,
-		Frame:  t.sys.Frame(),
+		Frame:  t.frameLocked(),
 		Frames: t.spec.Frames,
 		Reason: t.reason,
 	}
 }
 
 // TelemetrySnapshot implements serve.Source: the per-tenant telemetry plane
-// (metrics, journal, traces) reads through here. Running and completed
-// tenants snapshot the live system under the tenant lock — consistent
-// because stepping holds the same lock; quarantined tenants serve the
-// cached post-mortem snapshot.
+// (metrics, journal, traces) reads through here. A running tenant snapshots
+// its live system under the tenant lock — consistent because stepping holds
+// the same lock; a tenant at rest serves the snapshot it froze.
 func (t *Tenant) TelemetrySnapshot() (serve.Snapshot, bool) {
 	t.mu.Lock()
-	if t.state == StateQuarantined {
-		if t.final == nil {
-			// The host's LRU evicted the cached copy: re-recover the
-			// post-mortem on demand from the same committed stable storage
-			// quarantine originally read it from.
-			t.final = t.postMortemLocked()
-		}
-		snap := *t.final
-		host := t.host
-		t.mu.Unlock()
-		if host != nil {
-			host.noteQuarantine(t)
-		}
-		return snap, true
-	}
 	defer t.mu.Unlock()
-	if t.final != nil {
-		return *t.final, true
+	if t.sys == nil {
+		return t.final, true
 	}
-	reg, rec := t.sys.Telemetry()
-	if reg == nil {
-		return serve.Snapshot{}, false
+	return t.liveSnapshotLocked(), true
+}
+
+// liveSnapshotLocked snapshots the live system's telemetry at the current
+// frame boundary. Callers hold mu.
+func (t *Tenant) liveSnapshotLocked() serve.Snapshot {
+	snap := serve.Snapshot{Frame: t.sys.Frame(), FrameLen: t.frameLen}
+	if reg, rec := t.sys.Telemetry(); reg != nil {
+		snap.Metrics, snap.Events = reg.Snapshot(), rec.Events()
 	}
-	return serve.Snapshot{
-		Frame:    t.sys.Frame(),
-		FrameLen: t.frameLen,
-		Metrics:  reg.Snapshot(),
-		Events:   rec.Events(),
-	}, true
+	return snap
 }
 
 // Injection is one control-plane fault injection. Kind selects the variant:
@@ -270,7 +267,9 @@ type Injection struct {
 // commit barrier, and returns the frame at which the injection took effect —
 // the frame a scripted standalone replay would use to reproduce the run. By
 // the time Inject returns nil, that frame has committed (or provably never
-// will), so the ack is a faithful replay recipe.
+// will), so the ack is a faithful replay recipe. A tenant that is not
+// running refuses the injection; one that is quarantined or killed, or
+// whose host closes, before the frame commits fails the barrier instead.
 func (t *Tenant) Inject(inj Injection) (int64, error) {
 	_, applied, err := t.inject(inj)
 	return applied, err
@@ -300,8 +299,11 @@ func (t *Tenant) inject(inj Injection) (ord, applied int64, err error) {
 // applyLocked applies one injection between frames and assigns its ord.
 // Callers hold mu.
 func (t *Tenant) applyLocked(inj Injection) (ord, applied int64, err error) {
-	if t.state != StateRunning {
-		return 0, 0, fmt.Errorf("fleet: tenant %s is %s, not running", t.id, t.state)
+	switch {
+	case t.state != StateRunning:
+		return 0, 0, fmt.Errorf("fleet: tenant %s is %s, %w", t.id, t.state, errNotRunning)
+	case t.sys == nil:
+		return 0, 0, fmt.Errorf("fleet: tenant %s: %w", t.id, errHostClosed)
 	}
 	next := t.sys.Frame()
 	switch inj.Kind {
@@ -352,19 +354,23 @@ func (t *Tenant) applyLocked(inj Injection) (ord, applied int64, err error) {
 
 // awaitAppliedLocked is the commit barrier behind every applied_frame ack: it
 // blocks (releasing mu via the cond) until the tenant has stepped past the
-// applied frame or left the running state. A tenant that completed at or
-// before the applied frame acks fine — the injection is a no-op there and in
-// any replay, which is still equivalence. A tenant quarantined before the
-// frame committed fails the barrier: the frame's effects died with the
-// panic, so acking it would hand the client a replay recipe the real run
-// never executed. Callers hold mu.
+// applied frame or come to rest. A tenant that completed at or before the
+// applied frame acks fine — the injection is a no-op there and in any
+// replay, which is still equivalence. A tenant quarantined before the frame
+// committed fails the barrier: the frame's effects died with the panic, so
+// acking it would hand the client a replay recipe the real run never
+// executed. A killed tenant fails it too, since its manifest range is gone,
+// and so does a running tenant whose host closed before the frame ran.
+// Callers hold mu.
 func (t *Tenant) awaitAppliedLocked(applied int64) error {
-	cond := t.condLocked()
-	for t.state == StateRunning && t.sys.Frame() <= applied {
-		cond.Wait()
+	for t.sys != nil && t.sys.Frame() <= applied {
+		t.cond.Wait()
 	}
-	if t.state == StateQuarantined && (t.closed || t.sys.Frame() <= applied) {
-		return fmt.Errorf("fleet: tenant %s quarantined before frame %d committed: %s", t.id, applied, t.reason)
+	switch {
+	case t.state == StateQuarantined && (t.reason == killedReason || t.frameLocked() <= applied):
+		return fmt.Errorf("fleet: tenant %s quarantined before frame %d committed (%s): %w", t.id, applied, t.reason, errNotRunning)
+	case t.state == StateRunning && t.frameLocked() <= applied:
+		return fmt.Errorf("fleet: tenant %s: %w before frame %d committed", t.id, errHostClosed, applied)
 	}
 	return nil
 }
@@ -373,28 +379,24 @@ func (t *Tenant) awaitAppliedLocked(applied int64) error {
 // budget and converting panics and step errors into quarantine. It returns
 // the number of frames actually stepped.
 func (t *Tenant) stepBatch(n int) (stepped int64) {
-	var quarantined bool
 	t.mu.Lock()
 	// The isolation boundary: a panic anywhere under Step — an application
 	// bug, a hook, the kernel, an armed chaos panic — quarantines this
 	// tenant and returns the shard worker to the sweep. A System runs its
 	// whole frame in the caller's goroutine, so the panic surfaces here.
-	// The broadcast wakes injection barriers after every batch; the LRU
-	// registration runs outside the tenant lock so it can take other
-	// tenants' locks to evict.
+	// A tenant that completed in this batch comes to rest here too. The
+	// broadcast wakes injection barriers after every batch.
 	defer func() {
 		if r := recover(); r != nil {
 			t.quarantineLocked(fmt.Sprintf("panic: %v", r))
-			quarantined = true
 		}
-		t.broadcastLocked()
-		host := t.host
+		if t.state == StateCompleted && t.sys != nil {
+			t.restLocked(t.liveSnapshotLocked())
+		}
+		t.cond.Broadcast()
 		t.mu.Unlock()
-		if quarantined && host != nil {
-			host.noteQuarantine(t)
-		}
 	}()
-	if t.state != StateRunning {
+	if t.sys == nil {
 		return 0
 	}
 	for i := 0; i < n; i++ {
@@ -410,7 +412,6 @@ func (t *Tenant) stepBatch(n int) (stepped int64) {
 		}
 		if err := t.sys.Step(); err != nil {
 			t.quarantineLocked("step error: " + err.Error())
-			quarantined = true
 			return stepped
 		}
 		stepped++
@@ -425,13 +426,10 @@ func (t *Tenant) stepBatch(n int) (stepped int64) {
 // from the black box — the journal recovered from the SCRAM host's committed
 // stable storage, trailing the halt by at most one frame — not from the live
 // ring, whose in-memory state a panic may have torn. Deterministic: the same
-// committed storage yields the same snapshot, which is what makes LRU
-// eviction of the cached copy safe. Callers hold mu.
-func (t *Tenant) postMortemLocked() *serve.Snapshot {
-	if t.closed {
-		return &serve.Snapshot{}
-	}
-	snap := &serve.Snapshot{Frame: t.sys.Frame(), FrameLen: t.frameLen}
+// committed storage yields the same snapshot, so a recovered quarantine
+// serves what the live one did. Callers hold mu.
+func (t *Tenant) postMortemLocked() serve.Snapshot {
+	snap := serve.Snapshot{Frame: t.sys.Frame(), FrameLen: t.frameLen}
 	if reg, _ := t.sys.Telemetry(); reg != nil {
 		snap.Metrics = reg.Snapshot()
 	}
@@ -443,12 +441,13 @@ func (t *Tenant) postMortemLocked() *serve.Snapshot {
 	return snap
 }
 
-// quarantineLocked isolates the tenant and caches its post-mortem snapshot
-// so the serve plane never touches the possibly-torn live system again.
+// quarantineLocked isolates the tenant and brings it to rest on its
+// post-mortem snapshot, so the serve plane never touches the possibly-torn
+// live system again. Callers hold mu.
 func (t *Tenant) quarantineLocked(reason string) {
 	t.state = StateQuarantined
 	t.reason = reason
-	t.final = t.postMortemLocked()
+	t.restLocked(t.postMortemLocked())
 }
 
 // Config sizes the host's shared scheduler and, when Manifest is set, makes
@@ -476,10 +475,6 @@ type Config struct {
 	// RetainFrames is the retention horizon inherited by tenants whose spec
 	// leaves RetainFrames zero. See SpawnSpec.RetainFrames.
 	RetainFrames int64
-	// QuarantineCache caps how many quarantined tenants keep their
-	// post-mortem snapshot cached in memory (default 64). Evicted
-	// snapshots are re-recovered from committed stable storage on demand.
-	QuarantineCache int
 }
 
 // dedupeEntry is one idempotency-cache slot: duplicates of an in-flight
@@ -506,6 +501,9 @@ type Host struct {
 	order    []string // spawn order, for deterministic listings
 	nextID   int64
 	spawnSeq int64 // next spawn sequence number (manifest ordering)
+	// leftover holds the ids Recover dropped whose records it left in the
+	// manifest. A spawn that reuses one deletes them in its own commit.
+	leftover map[string]bool
 
 	frames   atomic.Int64 // total frames stepped across all tenants
 	draining atomic.Bool  // set by Drain/Close: control plane refuses mutations
@@ -515,12 +513,6 @@ type Host struct {
 	dmu    sync.Mutex
 	dedupe map[string]*dedupeEntry
 	dorder []string // insertion order, for bounded eviction
-
-	// qmu guards the quarantine-snapshot LRU. Eviction drops victims'
-	// cached snapshots after releasing qmu — never hold qmu and a tenant
-	// lock at once.
-	qmu  sync.Mutex
-	qlru []*Tenant // front = least recently served, back = most
 
 	stopOnce sync.Once
 	wake     chan struct{}
@@ -549,9 +541,6 @@ func newHostNoLoop(cfg Config) *Host {
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 64
 	}
-	if cfg.QuarantineCache <= 0 {
-		cfg.QuarantineCache = 64
-	}
 	return &Host{
 		cfg:     cfg,
 		man:     newManifest(cfg.Manifest),
@@ -574,8 +563,8 @@ func (h *Host) stopLoop() {
 	<-h.done
 }
 
-// Close stops the scheduler and closes every tenant's system. Unlike Drain
-// it journals nothing extra: recovery falls back to the last periodic
+// Close stops the scheduler and brings every running tenant to rest. Unlike
+// Drain it journals nothing extra: recovery falls back to the last periodic
 // checkpoint, exactly as after a crash.
 func (h *Host) Close() {
 	h.draining.Store(true)
@@ -585,8 +574,9 @@ func (h *Host) Close() {
 
 // Drain is the graceful shutdown of a durable host: it halts the scheduler,
 // journals a final checkpoint for every tenant — the manifest-commit barrier
-// a SIGTERM'd fleetd waits on before exiting — then closes tenant systems. A
-// recovered fleet resumes from exactly the drained frames, losing nothing.
+// a SIGTERM'd fleetd waits on before exiting — then brings running tenants
+// to rest. A recovered fleet resumes from exactly the drained frames, losing
+// nothing.
 func (h *Host) Drain() {
 	h.draining.Store(true)
 	h.stopLoop()
@@ -594,16 +584,17 @@ func (h *Host) Drain() {
 	h.closeTenants()
 }
 
+// closeTenants brings every tenant still holding a System to rest on its
+// live snapshot. They keep reporting running; injection barriers waiting on
+// them fail.
 func (h *Host) closeTenants() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, t := range h.tenants {
 		t.mu.Lock()
-		if !t.closed {
-			t.closed = true
-			t.sys.Close()
+		if t.sys != nil {
+			t.restLocked(t.liveSnapshotLocked())
 		}
-		t.broadcastLocked()
 		t.mu.Unlock()
 	}
 }
@@ -655,20 +646,14 @@ func (h *Host) Spawn(ss SpawnSpec) (*Tenant, error) {
 	}
 	ss.ID = id
 	seq := h.spawnSeq
-	if err := h.man.recordSpawn(seq, ss); err != nil {
+	if err := h.man.recordSpawn(seq, ss, h.leftover[id]); err != nil {
 		h.mu.Unlock()
 		sys.Close()
 		return nil, fmt.Errorf("fleet: journaling spawn: %w", err)
 	}
+	delete(h.leftover, id)
 	h.spawnSeq++
-	t := &Tenant{
-		id:       id,
-		spec:     ss,
-		host:     h,
-		sys:      sys,
-		state:    StateRunning,
-		frameLen: opts.Spec.FrameLen,
-	}
+	t := newTenant(ss, sys, opts.Spec.FrameLen)
 	h.tenants[id] = t
 	h.order = append(h.order, id)
 	h.mu.Unlock()
@@ -688,7 +673,7 @@ func (h *Host) Get(id string) (*Tenant, bool) {
 	return t, ok
 }
 
-// Kill removes a tenant and closes its system. Its telemetry is gone with
+// Kill removes a tenant and releases its system. Its telemetry is gone with
 // it: killing is the explicit discard, quarantine the recoverable one. On a
 // durable host the tenant's whole manifest range is deleted in one commit —
 // a recovered fleet never resurrects a killed tenant, and the manifest's
@@ -698,7 +683,7 @@ func (h *Host) Kill(id string) error {
 	t, ok := h.tenants[id]
 	if !ok {
 		h.mu.Unlock()
-		return fmt.Errorf("fleet: no tenant %q", id)
+		return fmt.Errorf("fleet: tenant %q: %w", id, errNoTenant)
 	}
 	delete(h.tenants, id)
 	for i, oid := range h.order {
@@ -710,14 +695,12 @@ func (h *Host) Kill(id string) error {
 	h.mu.Unlock()
 
 	// Take the tenant lock so a shard worker mid-batch finishes its frame
-	// before the system is closed under it.
+	// before the system is closed under it. The snapshot keeps only the
+	// frame, which Status goes on reporting.
 	t.mu.Lock()
 	t.state = StateQuarantined
-	t.reason = "killed"
-	t.closed = true
-	t.final = &serve.Snapshot{}
-	t.sys.Close()
-	t.broadcastLocked()
+	t.reason = killedReason
+	t.restLocked(serve.Snapshot{Frame: t.frameLocked()})
 	t.mu.Unlock()
 
 	if err := h.man.removeTenant(id); err != nil {
@@ -734,7 +717,7 @@ func (h *Host) Kill(id string) error {
 func (h *Host) Inject(id string, inj Injection) (int64, error) {
 	t, ok := h.Get(id)
 	if !ok {
-		return 0, fmt.Errorf("fleet: no tenant %q", id)
+		return 0, fmt.Errorf("fleet: tenant %q: %w", id, errNoTenant)
 	}
 	var entry *dedupeEntry
 	if inj.RequestID != "" {
@@ -813,44 +796,6 @@ func (h *Host) primeDedupe(tenantID, requestID string, applied int64) {
 	h.dmu.Unlock()
 }
 
-// noteQuarantine registers (or refreshes) a quarantined tenant in the
-// post-mortem snapshot LRU and evicts beyond the cap. Eviction only drops
-// the cached snapshot — the black box stays in committed stable storage, and
-// TelemetrySnapshot re-recovers it on demand. Callers must not hold any
-// tenant lock: eviction takes victims' locks one at a time.
-func (h *Host) noteQuarantine(t *Tenant) {
-	h.qmu.Lock()
-	for i, q := range h.qlru {
-		if q == t {
-			h.qlru = append(append(h.qlru[:i], h.qlru[i+1:]...), t)
-			h.qmu.Unlock()
-			return
-		}
-	}
-	h.qlru = append(h.qlru, t)
-	var evict []*Tenant
-	for len(h.qlru) > h.cfg.QuarantineCache {
-		evict = append(evict, h.qlru[0])
-		h.qlru = h.qlru[1:]
-	}
-	h.qmu.Unlock()
-	for _, q := range evict {
-		q.mu.Lock()
-		if q.state == StateQuarantined {
-			q.final = nil
-		}
-		q.mu.Unlock()
-	}
-}
-
-// quarantineCached counts tenants currently holding a cached post-mortem
-// snapshot — the LRU's occupancy, surfaced in Stats.
-func (h *Host) quarantineCached() int {
-	h.qmu.Lock()
-	defer h.qmu.Unlock()
-	return len(h.qlru)
-}
-
 // checkpoint journals the progress of every tenant that moved since its last
 // checkpoint; force (the drain path) stages all of them regardless of
 // cadence. One batched commit per sweep keeps the stable-store traffic
@@ -869,11 +814,12 @@ func (h *Host) checkpoint(force bool) {
 	cks := make(map[string]ckptRecord)
 	for _, t := range tenants {
 		t.mu.Lock()
-		if t.closed {
+		if t.reason == killedReason {
+			// Kill deletes the tenant's manifest range.
 			t.mu.Unlock()
 			continue
 		}
-		frame := t.sys.Frame()
+		frame := t.frameLocked()
 		moved := frame != t.lastCkptFrame || t.state != t.lastCkptState
 		due := force || t.state != t.lastCkptState || frame-t.lastCkptFrame >= h.cfg.CheckpointEvery
 		if moved && due {
@@ -914,7 +860,9 @@ type Stats struct {
 	Batch  int `json:"batch"`
 	// Durable reports whether the host journals to a manifest store.
 	Durable bool `json:"durable"`
-	// QuarantineCached is the post-mortem snapshot LRU's occupancy.
+	// QuarantineCached counts quarantined tenants holding their post-mortem
+	// snapshot in memory: every quarantined tenant does, so it equals
+	// Tenants[StateQuarantined].
 	QuarantineCached int `json:"quarantine_cached"`
 	// Draining reports a host refusing control-plane mutations on its way
 	// down.
@@ -924,16 +872,16 @@ type Stats struct {
 // Stats returns the host's aggregate counters.
 func (h *Host) Stats() Stats {
 	st := Stats{
-		Tenants:          make(map[State]int),
-		Shards:           h.cfg.Shards,
-		Batch:            h.cfg.Batch,
-		Durable:          h.man != nil,
-		QuarantineCached: h.quarantineCached(),
-		Draining:         h.draining.Load(),
+		Tenants:  make(map[State]int),
+		Shards:   h.cfg.Shards,
+		Batch:    h.cfg.Batch,
+		Durable:  h.man != nil,
+		Draining: h.draining.Load(),
 	}
 	for _, s := range h.List() {
 		st.Tenants[s.State]++
 	}
+	st.QuarantineCached = st.Tenants[StateQuarantined]
 	st.FramesStepped = h.frames.Load()
 	return st
 }

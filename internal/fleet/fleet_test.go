@@ -116,28 +116,32 @@ func TestStorageFaultIsolation(t *testing.T) {
 	}
 }
 
-// panicApp delegates to a real app until a step threshold, then panics —
-// the misbehaving-tenant stand-in.
-type panicApp struct {
+// faultyApp delegates to a real app until a step threshold, then panics —
+// or, with err set, returns err — the misbehaving-tenant stand-in.
+type faultyApp struct {
 	core.App
-	steps   int
-	panicAt int
+	steps  int
+	failAt int
+	err    error
 }
 
-func (p *panicApp) Step(env *core.FrameEnv) error {
+func (p *faultyApp) Step(env *core.FrameEnv) error {
 	p.steps++
-	if p.steps >= p.panicAt {
+	if p.steps >= p.failAt {
+		if p.err != nil {
+			return p.err
+		}
 		panic("tenant application bug")
 	}
 	return p.App.Step(env)
 }
 
-// spawnPanicking registers a hand-built tenant whose autopilot panics after
-// k steps, with an alternator failure scripted at frame 5 so the black box
-// has a committed reconfiguration to recover. Same-package surgery: the
-// control plane offers no way to spawn a broken app, which is the point —
-// this simulates one slipping through.
-func spawnPanicking(t *testing.T, h *Host, id string, k int) *Tenant {
+// spawnFaulty registers a hand-built tenant whose autopilot panics (or, with
+// fail set, returns fail) after k steps, with an alternator failure
+// scripted at frame 5 so the black box has a committed reconfiguration to
+// recover. Same-package surgery: the control plane offers no way to spawn a
+// broken app, which is the point — this simulates one slipping through.
+func spawnFaulty(t *testing.T, h *Host, id string, k int, fail error) *Tenant {
 	t.Helper()
 	opts, err := SpawnOptions(SpawnSpec{Preset: "threeconfig", Seed: 99})
 	if err != nil {
@@ -146,14 +150,14 @@ func spawnPanicking(t *testing.T, h *Host, id string, k int) *Tenant {
 	opts.Script = []envmon.Event{{Frame: 5, Factor: "alt1", Value: "failed"}}
 	for appID, app := range opts.Apps {
 		if appID == "autopilot" {
-			opts.Apps[appID] = &panicApp{App: app, panicAt: k}
+			opts.Apps[appID] = &faultyApp{App: app, failAt: k, err: fail}
 		}
 	}
 	sys, err := core.NewSystem(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn := &Tenant{id: id, spec: SpawnSpec{ID: id, Preset: "threeconfig", Seed: 99}, sys: sys, state: StateRunning, frameLen: opts.Spec.FrameLen}
+	tn := newTenant(SpawnSpec{ID: id, Preset: "threeconfig", Seed: 99}, sys, opts.Spec.FrameLen)
 	h.mu.Lock()
 	h.tenants[id] = tn
 	h.order = append(h.order, id)
@@ -176,7 +180,7 @@ func TestPanicQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := spawnPanicking(t, h, "bad", 40)
+	bad := spawnFaulty(t, h, "bad", 40, nil)
 
 	waitFor(t, "quarantine", func() bool { return bad.Status().State == StateQuarantined })
 	st := bad.Status()

@@ -15,7 +15,9 @@
 //	manifest/t/<id>/ckpt           ckptRecord{Frame, State, Reason}
 //
 // Killing a tenant deletes its whole key range in one commit, so the
-// manifest's footprint is bounded by the live fleet, not its history.
+// manifest's footprint is bounded by the live fleet, not its history. A
+// tenant Recover drops keeps its range until a spawn reuses its id; that
+// spawn's commit deletes the range.
 //
 // Failure handling is self-stabilizing, not halting: a record torn on one
 // replica is healed by the scrub that recovery runs before reading the
@@ -104,9 +106,12 @@ func injKey(id string, ord int64) string {
 // manifest (host without a Config.Manifest store) turns every method into a
 // no-op, which is the pre-durability in-memory behavior.
 type manifest struct {
-	mu  sync.Mutex
-	st  *stable.Store
-	err error // first commit/storage fault; latched, fails later mutations
+	mu sync.Mutex
+	st *stable.Store
+	// errMu guards err apart from mu: the store calls the fault sink from
+	// inside the commits that hold mu.
+	errMu sync.Mutex
+	err   error // first commit/storage fault; latched, fails later mutations
 }
 
 func newManifest(st *stable.Store) *manifest {
@@ -115,30 +120,48 @@ func newManifest(st *stable.Store) *manifest {
 	}
 	m := &manifest{st: st}
 	st.SetFaultSink(func(err error) {
-		m.mu.Lock()
+		m.errMu.Lock()
 		if m.err == nil {
 			m.err = err
 		}
-		m.mu.Unlock()
+		m.errMu.Unlock()
 	})
 	return m
+}
+
+// fault returns the latched fault, if any.
+func (m *manifest) fault() error {
+	m.errMu.Lock()
+	defer m.errMu.Unlock()
+	if m.err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", errManifest, m.err)
 }
 
 // commitLocked commits the staged batch and surfaces a latched fault.
 func (m *manifest) commitLocked() error {
 	m.st.Commit()
-	return m.err
+	return m.fault()
 }
 
-// recordSpawn durably journals a tenant before it becomes visible.
-func (m *manifest) recordSpawn(seq int64, ss SpawnSpec) error {
+// recordSpawn durably journals a tenant before it becomes visible. With
+// leftover set, the id belonged to a tenant Recover dropped: its records
+// are deleted in the same commit, so the new tenant replays only its own.
+// Only then does the spawn list keys: the listing walks every key the
+// store holds, so listing on every spawn makes set-up quadratic in the
+// fleet size.
+func (m *manifest) recordSpawn(seq int64, ss SpawnSpec, leftover bool) error {
 	if m == nil {
 		return nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.err != nil {
-		return m.err
+	if err := m.fault(); err != nil {
+		return err
+	}
+	if leftover {
+		m.deleteRangeLocked(ss.ID)
 	}
 	if err := m.st.PutJSON(spawnKey(ss.ID), spawnRecord{Seq: seq, Spec: ss}); err != nil {
 		return err
@@ -156,8 +179,8 @@ func (m *manifest) recordInjection(tenantID string, rec injRecord) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.err != nil {
-		return m.err
+	if err := m.fault(); err != nil {
+		return err
 	}
 	if err := m.st.PutJSON(injKey(tenantID, rec.Ord), rec); err != nil {
 		return err
@@ -173,8 +196,8 @@ func (m *manifest) recordCheckpoints(cks map[string]ckptRecord) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.err != nil {
-		return m.err
+	if err := m.fault(); err != nil {
+		return err
 	}
 	for id, ck := range cks {
 		if err := m.st.PutJSON(ckptKey(id), ck); err != nil {
@@ -192,13 +215,31 @@ func (m *manifest) removeTenant(tenantID string) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.err != nil {
-		return m.err
+	if err := m.fault(); err != nil {
+		return err
 	}
-	for _, k := range m.st.Keys(manifestPrefix + tenantID + "/") {
+	m.deleteRangeLocked(tenantID)
+	return m.commitLocked()
+}
+
+// deleteRangeLocked stages the deletion of every record under a tenant id,
+// records lost on every replica included. It lists them without the fault
+// sink: a lost record in a range being deleted is no fault, and the
+// tombstone the commit writes over it is its repair.
+func (m *manifest) deleteRangeLocked(tenantID string) {
+	prefix := manifestPrefix + tenantID + "/"
+	var keys []string
+	if rep := m.st.Hardened(); rep != nil {
+		var err error
+		if keys, err = rep.KeysWithPrefix(prefix); errors.Is(err, stable.ErrUnrecoverable) {
+			keys = append(keys, rep.LostKeys(prefix)...)
+		}
+	} else {
+		keys = m.st.Keys(prefix)
+	}
+	for _, k := range keys {
 		m.st.Delete(k)
 	}
-	return m.commitLocked()
 }
 
 // tenantManifest is one tenant's parsed manifest: the replay recipe.

@@ -41,7 +41,8 @@ type Recovery struct {
 	// Dropped lists tenants (or foreign manifest keys) that could not be
 	// restored at all: nothing to respawn from, because the spawn record is
 	// lost or its spec no longer builds. Converged past, reported, sorted.
-	// Their manifest keys are left as they are.
+	// Their manifest keys stay until a spawn reuses the id, which deletes
+	// them.
 	Dropped []string `json:"dropped,omitempty"`
 }
 
@@ -52,9 +53,8 @@ type Recovery struct {
 //
 // Tenants share nothing, so their rebuilds run in parallel on every core
 // (GOMAXPROCS, not cfg.Shards: nothing else on the host runs until Recover
-// returns). Registration then runs in spawn order, so listings, the sweep,
-// the dedupe cache and the post-mortem LRU see the fleet exactly as a
-// serial rebuild would.
+// returns). Registration then runs in spawn order, so listings, the sweep
+// and the dedupe cache see the fleet exactly as a serial rebuild would.
 func Recover(cfg Config) (*Host, *Recovery, error) {
 	if cfg.Manifest == nil {
 		return nil, nil, errors.New("fleet: Recover needs Config.Manifest")
@@ -64,6 +64,7 @@ func Recover(cfg Config) (*Host, *Recovery, error) {
 		return nil, nil, err
 	}
 	h := newHostNoLoop(cfg)
+	h.leftover = make(map[string]bool)
 	rec := &Recovery{Dropped: dropped}
 
 	// Seq order is spawn order: listings and the scheduler sweep see the
@@ -82,7 +83,7 @@ func Recover(cfg Config) (*Host, *Recovery, error) {
 
 	rebuilt := make([]*Tenant, len(ids))
 	forEach(len(ids), runtime.GOMAXPROCS(0), func(i int) {
-		rebuilt[i] = h.recoverTenant(ids[i], manifests[ids[i]])
+		rebuilt[i] = recoverTenant(manifests[ids[i]])
 	})
 
 	maxSeq := int64(-1)
@@ -106,7 +107,6 @@ func Recover(cfg Config) (*Host, *Recovery, error) {
 			rec.Completed++
 		case StateQuarantined:
 			rec.Quarantined = append(rec.Quarantined, id)
-			h.noteQuarantine(t)
 		}
 		for _, ir := range tm.Injections {
 			h.primeDedupe(id, ir.RequestID, ir.Applied)
@@ -114,6 +114,10 @@ func Recover(cfg Config) (*Host, *Recovery, error) {
 	}
 	sort.Strings(rec.Quarantined)
 	sort.Strings(rec.Dropped)
+	// Entries naming foreign keys never match a spawn: ids hold no '/'.
+	for _, id := range rec.Dropped {
+		h.leftover[id] = true
+	}
 	h.spawnSeq = maxSeq + 1
 
 	h.startLoop()
@@ -126,7 +130,7 @@ func Recover(cfg Config) (*Host, *Recovery, error) {
 // that no longer builds — a preset this build does not have — leaves
 // nothing to respawn from: recoverTenant returns nil and the tenant is
 // dropped. The returned tenant is not yet registered or stepped.
-func (h *Host) recoverTenant(id string, tm *tenantManifest) *Tenant {
+func recoverTenant(tm *tenantManifest) *Tenant {
 	opts, err := SpawnOptions(tm.Spec)
 	if err != nil {
 		return nil
@@ -135,13 +139,7 @@ func (h *Host) recoverTenant(id string, tm *tenantManifest) *Tenant {
 	if err != nil {
 		return nil
 	}
-	t := &Tenant{
-		id:       id,
-		spec:     tm.Spec,
-		host:     h,
-		sys:      sys,
-		frameLen: opts.Spec.FrameLen,
-	}
+	t := newTenant(tm.Spec, sys, opts.Spec.FrameLen)
 	if tm.Damaged != "" {
 		// Parked on the fresh, unstepped system, so the control plane can
 		// report it like any other quarantined tenant.
@@ -163,8 +161,7 @@ func (h *Host) recoverTenant(id string, tm *tenantManifest) *Tenant {
 		t.quarantineLocked(tm.Ckpt.Reason)
 	case tm.Spec.Frames > 0 && t.sys.Frame() >= tm.Spec.Frames:
 		t.state = StateCompleted
-	default:
-		t.state = StateRunning
+		t.restLocked(t.liveSnapshotLocked())
 	}
 	return t
 }

@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/stable"
 	"repro/internal/telemetry/serve"
@@ -486,7 +487,7 @@ func TestRecoverParallelRebuild(t *testing.T) {
 		id := fmt.Sprintf("%s-%02d", fate, i)
 		if fate == "retired" {
 			// A CRC-valid spawn record naming a preset this build lacks.
-			if err := h.man.recordSpawn(h.spawnSeq, SpawnSpec{ID: id, Preset: "retired-preset", Seed: 1}); err != nil {
+			if err := h.man.recordSpawn(h.spawnSeq, SpawnSpec{ID: id, Preset: "retired-preset", Seed: 1}, false); err != nil {
 				t.Fatalf("record %s: %v", id, err)
 			}
 			h.spawnSeq++
@@ -593,7 +594,7 @@ func TestRecoverDropsUnbuildableSpec(t *testing.T) {
 	ten.stepBatch(8)
 	h.checkpoint(true)
 	retired := SpawnSpec{ID: "retired", Preset: "retired-preset", Seed: 7}
-	if err := h.man.recordSpawn(h.spawnSeq, retired); err != nil {
+	if err := h.man.recordSpawn(h.spawnSeq, retired, false); err != nil {
 		t.Fatalf("record retired spawn: %v", err)
 	}
 
@@ -627,72 +628,123 @@ func TestRecoverDropsUnbuildableSpec(t *testing.T) {
 	}
 }
 
-// TestRecoverQuarantinesEnterSnapshotLRU: recovered quarantines register in
-// the post-mortem LRU like live ones, so the cap holds after a restart, and
-// a damaged tenant's cached snapshot is the one re-recovery rebuilds, so
-// eviction stays invisible to readers.
-func TestRecoverQuarantinesEnterSnapshotLRU(t *testing.T) {
-	media := []stable.Medium{stable.NewMemMedium(), stable.NewMemMedium()}
-	h := manualHost(t, durableConfig(stable.NewHardened(stable.MountReplicatedStore(media...))))
-	tens := make(map[string]*Tenant)
-	for i, id := range []string{"q-0", "q-1", "dmg"} {
-		ten, err := h.Spawn(SpawnSpec{ID: id, Preset: "threeconfig", Seed: int64(60 + i)})
-		if err != nil {
-			t.Fatalf("spawn %s: %v", id, err)
-		}
-		tens[id] = ten
-		ten.stepBatch(8)
-	}
-	for _, id := range []string{"q-0", "q-1"} {
-		if _, err := h.Inject(id, Injection{Kind: "panic"}); err != nil {
-			t.Fatalf("arm %s: %v", id, err)
-		}
-		tens[id].stepBatch(1)
-	}
-	ackManual(t, h, tens["dmg"], Injection{Kind: "env", Factor: "alt1", Value: "failed"})
-	h.checkpoint(true)
-	tearOnEveryReplica(t, media, injKey("dmg", 0))
+// TestRecoverReusedIDDropsLeftoverRecords: a tenant Recover drops keeps its
+// manifest records, but only until a spawn reuses its id. That spawn deletes
+// them in its own commit, so the next recovery replays the new tenant from
+// its own recipe, not the dropped tenant's injections. The spawn record is
+// lost either way Recover can meet: deleted, or torn on every replica, which
+// leaves a key no replica can read; deleting it must not latch the manifest.
+func TestRecoverReusedIDDropsLeftoverRecords(t *testing.T) {
+	for _, lose := range []string{"deleted", "torn"} {
+		t.Run(lose, func(t *testing.T) {
+			media := []stable.Medium{stable.NewMemMedium(), stable.NewMemMedium()}
+			mount := func() Config {
+				return durableConfig(stable.NewHardened(stable.MountReplicatedStore(media...)))
+			}
+			h := manualHost(t, mount())
+			old, err := h.Spawn(SpawnSpec{ID: "x", Preset: "threeconfig", Seed: 1})
+			if err != nil {
+				t.Fatalf("spawn: %v", err)
+			}
+			// Two injections, so the dropped tenant leaves a record the new
+			// tenant's single injection does not overwrite.
+			old.stepBatch(20)
+			ackManual(t, h, old, Injection{Kind: "env", Factor: "alt1", Value: "failed"})
+			old.stepBatch(10)
+			ackManual(t, h, old, Injection{Kind: "env", Factor: "alt1", Value: "ok"})
+			if lose == "deleted" {
+				for _, m := range media {
+					m.Delete(spawnKey("x"))
+				}
+			} else {
+				tearOnEveryReplica(t, media, spawnKey("x"))
+			}
 
-	cfg := durableConfig(stable.NewHardened(stable.MountReplicatedStore(media...)))
-	cfg.QuarantineCache = 1
-	h2, rec, err := Recover(cfg)
+			h2, rec, err := Recover(mount())
+			if err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			if !reflect.DeepEqual(rec.Dropped, []string{"x"}) {
+				t.Fatalf("dropped = %v, want [x]", rec.Dropped)
+			}
+			x, err := h2.Spawn(SpawnSpec{ID: "x", Preset: "threeconfig", Seed: 2, Frames: 2000})
+			if err != nil {
+				t.Fatalf("respawn x: %v", err)
+			}
+			inj := Injection{Kind: "env", Factor: "alt1", Value: "failed"}
+			applied, err := h2.Inject("x", inj)
+			if err != nil {
+				t.Fatalf("inject into new x: %v", err)
+			}
+			waitFor(t, "new x completed", func() bool { return x.Status().State == StateCompleted })
+			h2.Drain()
+
+			h3, rec3, err := Recover(mount())
+			if err != nil {
+				t.Fatalf("second Recover: %v", err)
+			}
+			defer h3.Close()
+			if rec3.Tenants != 1 || len(rec3.Dropped) != 0 || len(rec3.Quarantined) != 0 {
+				t.Fatalf("second recovery = %+v, want new x back and nothing dropped", rec3)
+			}
+			x3, ok := h3.Get("x")
+			if !ok {
+				t.Fatal("new x not recovered")
+			}
+			if err := CheckEquivalence(x3, []AckedInjection{{Inj: inj, Applied: applied}}); err != nil {
+				t.Fatalf("recovered new x replays the dropped tenant's records: %v", err)
+			}
+		})
+	}
+}
+
+// TestKillDamagedTenantDeletesLostRecords: killing a tenant Recover
+// quarantined for an injection record lost on every replica deletes its
+// whole range, the lost record included, without latching the manifest.
+// Later spawns still journal, and the next recovery finds nothing of it.
+func TestKillDamagedTenantDeletesLostRecords(t *testing.T) {
+	media := []stable.Medium{stable.NewMemMedium(), stable.NewMemMedium()}
+	mount := func() Config {
+		return durableConfig(stable.NewHardened(stable.MountReplicatedStore(media...)))
+	}
+	h := manualHost(t, mount())
+	x, err := h.Spawn(SpawnSpec{ID: "x", Preset: "threeconfig", Seed: 1})
+	if err != nil {
+		t.Fatalf("spawn: %v", err)
+	}
+	x.stepBatch(20)
+	ackManual(t, h, x, Injection{Kind: "env", Factor: "alt1", Value: "failed"})
+	tearOnEveryReplica(t, media, injKey("x", 0))
+
+	h2, rec, err := Recover(mount())
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
 	defer h2.Close()
-	if !reflect.DeepEqual(rec.Quarantined, []string{"dmg", "q-0", "q-1"}) {
-		t.Fatalf("recovery = %+v, want three quarantines", rec)
+	if !reflect.DeepEqual(rec.Quarantined, []string{"x"}) {
+		t.Fatalf("quarantined = %v, want [x]", rec.Quarantined)
 	}
-	cached := 0
-	for _, id := range rec.Quarantined {
-		ten, _ := h2.Get(id)
-		ten.mu.Lock()
-		if ten.final != nil {
-			cached++
+	killed := make(chan error, 1)
+	go func() { killed <- h2.Kill("x") }()
+	select {
+	case err := <-killed:
+		if err != nil {
+			t.Fatalf("kill x: %v", err)
 		}
-		ten.mu.Unlock()
+	case <-time.After(5 * time.Second):
+		t.Fatal("kill x still blocked after 5s")
 	}
-	if occ := h2.Stats().QuarantineCached; cached != 1 || occ != 1 {
-		t.Fatalf("%d cached snapshots, Stats reports %d: want the cap of 1 after recovery", cached, occ)
+	if _, err := h2.Spawn(SpawnSpec{ID: "y", Preset: "threeconfig", Seed: 2, Frames: 40}); err != nil {
+		t.Fatalf("spawn after kill: %v", err)
 	}
+	h2.Drain()
 
-	// dmg registered last, so its recovery-time snapshot is the cached
-	// one; serving q-0 evicts it, and the next read re-recovers it.
-	dmg, _ := h2.Get("dmg")
-	before, ok := dmg.TelemetrySnapshot()
-	if !ok {
-		t.Fatal("no snapshot for dmg")
+	h3, rec3, err := Recover(mount())
+	if err != nil {
+		t.Fatalf("second Recover: %v", err)
 	}
-	q0, _ := h2.Get("q-0")
-	q0.TelemetrySnapshot()
-	dmg.mu.Lock()
-	evicted := dmg.final == nil
-	dmg.mu.Unlock()
-	if !evicted {
-		t.Fatal("serving q-0 did not evict dmg under a cap of 1")
-	}
-	after, _ := dmg.TelemetrySnapshot()
-	if !reflect.DeepEqual(before, after) {
-		t.Fatalf("dmg's snapshot changed across eviction:\nbefore %+v\nafter  %+v", before, after)
+	defer h3.Close()
+	if rec3.Tenants != 1 || len(rec3.Dropped) != 0 || len(rec3.Quarantined) != 0 {
+		t.Fatalf("second recovery = %+v, want only y and nothing of x", rec3)
 	}
 }
