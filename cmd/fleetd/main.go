@@ -18,8 +18,9 @@
 // With -data, the host journals a fleet manifest — every SpawnSpec, every
 // acked injection, every kill, periodic per-tenant checkpoints — to
 // CRC-checksummed replicated stable storage under the directory. A restarted
-// fleetd (after SIGTERM or kill -9 alike) re-spawns every tenant and replays
-// it to its pre-crash frame, byte-identical to an uninterrupted run. SIGTERM
+// fleetd (after SIGTERM or kill -9 alike) re-spawns every running tenant and
+// replays it to its pre-crash frame, byte-identical to an uninterrupted run;
+// a tenant at rest is replayed on the first read of its telemetry. SIGTERM
 // drains gracefully: the control plane answers 503, a final checkpoint
 // commits, then the process exits. SIGINT hard-stops without the final
 // checkpoint (recovery falls back to the last periodic one, like a crash).

@@ -115,67 +115,66 @@ func Run(plan Plan) Outcome {
 
 	// The manifest media survive every crash: they are the disk.
 	media := []stable.Medium{stable.NewMemMedium(), stable.NewMemMedium()}
-	mount := func() (*fleet.Host, *fleet.Recovery, error) {
+	mount := func(prime func(*fleet.Host)) (*fleet.Host, *fleet.Recovery, error) {
 		st := stable.NewHardened(stable.MountReplicatedStore(media...))
-		return fleet.Recover(fleet.Config{
+		return fleet.RecoverPrimed(fleet.Config{
 			Shards:          2,
 			Batch:           4,
 			Manifest:        st,
 			CheckpointEvery: plan.CheckpointEvery,
 			RetainFrames:    plan.RetainFrames,
-		})
+		}, prime)
 	}
 
-	host, _, err := mount()
+	// Spawn the fleet and arm its panics before the first sweep: the armed
+	// frame is in the back half of the budget (the victims do real work,
+	// and usually survive at least one crash, before dying), and no tenant
+	// has stepped when the arm lands, so the storm's quarantine set is a
+	// pure function of the seed.
+	acks := make(map[string][]fleet.AckedInjection)
+	ids := make([]string, 0, plan.Tenants)
+	host, _, err := mount(func(host *fleet.Host) {
+		for i := 0; i < plan.Tenants; i++ {
+			id := fmt.Sprintf("c-%d", i)
+			ss := fleet.SpawnSpec{
+				ID:     id,
+				Preset: presets[i%len(presets)],
+				Seed:   rng.Int63(),
+				Frames: plan.Frames,
+			}
+			if _, err := host.Spawn(ss); err != nil {
+				out.Errors = append(out.Errors, "spawn "+id+": "+err.Error())
+				continue
+			}
+			ids = append(ids, id)
+		}
+		for i := 0; i < plan.Panics && len(ids) > 0; i++ {
+			frame := plan.Frames/2 + rng.Int63n(plan.Frames/2-1) + 1
+			id := ids[rng.Intn(len(ids))]
+			inj := fleet.Injection{Kind: "panic", Frame: frame, RequestID: fmt.Sprintf("storm-panic-%d", i)}
+			applied, err := host.Inject(id, inj)
+			if err != nil {
+				out.Errors = append(out.Errors, fmt.Sprintf("arming panic %d on %s: %v", i, id, err))
+				continue
+			}
+			out.Injected++
+			acks[id] = append(acks[id], fleet.AckedInjection{Inj: inj, Applied: applied})
+			if again, err := host.Inject(id, inj); err != nil || again != applied {
+				out.Mismatches = append(out.Mismatches,
+					fmt.Sprintf("tenant %s: duplicate panic request acked (%d,%v), primary acked %d", id, again, err, applied))
+			} else {
+				out.DedupeHits++
+			}
+		}
+	})
 	if err != nil {
 		out.Errors = append(out.Errors, "initial mount: "+err.Error())
 		return out
 	}
 
-	// Spawn the fleet and pre-plan the storm's injections.
-	acks := make(map[string][]fleet.AckedInjection)
-	ids := make([]string, 0, plan.Tenants)
-	for i := 0; i < plan.Tenants; i++ {
-		id := fmt.Sprintf("c-%d", i)
-		ss := fleet.SpawnSpec{
-			ID:     id,
-			Preset: presets[i%len(presets)],
-			Seed:   rng.Int63(),
-			Frames: plan.Frames,
-		}
-		if _, err := host.Spawn(ss); err != nil {
-			out.Errors = append(out.Errors, "spawn "+id+": "+err.Error())
-			continue
-		}
-		ids = append(ids, id)
-	}
 	type strike struct {
 		id  string
 		inj fleet.Injection
-	}
-	// Panics arm up front, before the fleet makes progress: the armed frame
-	// is in the back half of the budget (the victims do real work, and
-	// usually survive at least one crash, before dying), and arming early
-	// makes the storm's quarantine set a pure function of the seed — a
-	// panic ack needs no commit barrier, so arming always lands.
-	for i := 0; i < plan.Panics && len(ids) > 0; i++ {
-		frame := plan.Frames/2 + rng.Int63n(plan.Frames/2-1) + 1
-		id := ids[rng.Intn(len(ids))]
-		inj := fleet.Injection{Kind: "panic", Frame: frame, RequestID: fmt.Sprintf("storm-panic-%d", i)}
-		applied, err := host.Inject(id, inj)
-		if err != nil {
-			// Legal under extreme scheduling: the victim raced past the armed
-			// frame before the arm landed. Not acked, so not in the recipe.
-			continue
-		}
-		out.Injected++
-		acks[id] = append(acks[id], fleet.AckedInjection{Inj: inj, Applied: applied})
-		if again, err := host.Inject(id, inj); err != nil || again != applied {
-			out.Mismatches = append(out.Mismatches,
-				fmt.Sprintf("tenant %s: duplicate panic request acked (%d,%v), primary acked %d", id, again, err, applied))
-		} else {
-			out.DedupeHits++
-		}
 	}
 	var strikes []strike
 	for i := 0; i < plan.StorageFaults && len(ids) > 0; i++ {
@@ -229,7 +228,7 @@ func Run(plan Plan) Outcome {
 			out.Crashes++
 			out.TornWrites += tearRecords(rng, media[rng.Intn(len(media))], plan.TornWrites)
 			var rec *fleet.Recovery
-			host, rec, err = mount()
+			host, rec, err = mount(nil)
 			if err != nil {
 				out.Errors = append(out.Errors, fmt.Sprintf("recovery %d: %v", gen, err))
 				return out

@@ -123,7 +123,8 @@ const killedReason = "killed"
 // plane holds it while injecting or snapshotting, so injections always land
 // between frames. The System is held only while the tenant can step; a
 // tenant at rest (completed, quarantined, killed, or on a closed host)
-// serves the snapshot it froze when it let the System go.
+// serves the snapshot it froze when it let the System go, or, parked by
+// Recover, the one its first read rebuilds.
 type Tenant struct {
 	id   string
 	spec SpawnSpec
@@ -150,6 +151,11 @@ type Tenant struct {
 	// released its System. Its Events and Metrics are fresh copies that
 	// nothing mutates, so readers share them.
 	final serve.Snapshot
+	// parked is the recipe of a tenant Recover brought back at rest without
+	// replaying it; final holds only its frame until the first
+	// TelemetrySnapshot rebuilds the rest. Nil once built, and cleared by
+	// restLocked, so a build that finishes after a kill is discarded.
+	parked *parking
 	// lastCkptFrame/lastCkptState track what the manifest already has, so
 	// the checkpoint sweep only stages tenants that moved.
 	lastCkptFrame int64
@@ -178,6 +184,7 @@ func (t *Tenant) frameLocked() int64 {
 // and drops its System, and wakes injection barriers. Callers hold mu.
 func (t *Tenant) restLocked(final serve.Snapshot) {
 	t.final = final
+	t.parked = nil
 	if t.sys != nil {
 		t.sys.Close()
 		t.sys = nil
@@ -219,14 +226,32 @@ func (t *Tenant) Status() Status {
 // TelemetrySnapshot implements serve.Source: the per-tenant telemetry plane
 // (metrics, journal, traces) reads through here. A running tenant snapshots
 // its live system under the tenant lock — consistent because stepping holds
-// the same lock; a tenant at rest serves the snapshot it froze.
+// the same lock; a tenant at rest serves the snapshot it froze. A parked
+// tenant's first read rebuilds that snapshot by replay, outside the lock,
+// so the sweep, the checkpoint barrier and listings never wait on it.
 func (t *Tenant) TelemetrySnapshot() (serve.Snapshot, bool) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.sys == nil {
-		return t.final, true
+	p := t.parked
+	if p == nil {
+		defer t.mu.Unlock()
+		if t.sys == nil {
+			return t.final, true
+		}
+		return t.liveSnapshotLocked(), true
 	}
-	return t.liveSnapshotLocked(), true
+	t.mu.Unlock()
+	built := p.build()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.parked == p {
+		// As in an eager Recover: damage the replay found quarantines the
+		// tenant and clears its checkpoint marks, so the next barrier
+		// journals the quarantine.
+		t.parked = nil
+		t.state, t.reason, t.final = built.state, built.reason, built.final
+		t.lastCkptFrame, t.lastCkptState = built.lastCkptFrame, built.lastCkptState
+	}
+	return t.final, true
 }
 
 // liveSnapshotLocked snapshots the live system's telemetry at the current
@@ -463,14 +488,16 @@ type Config struct {
 	Batch int
 	// Manifest, when set, journals every spawn, acked injection and kill to
 	// this store — the host's own black box. Recover rebuilds the fleet
-	// from it after a crash, replaying every tenant to its pre-crash frame.
+	// from it after a crash: running tenants replay to their pre-crash
+	// frame, and tenants at rest come back parked, replayed on first read.
 	// Nil keeps the host purely in-memory (the pre-durability behavior).
 	Manifest *stable.Store
 	// CheckpointEvery is the per-tenant checkpoint cadence in frames
 	// (default 64): once a tenant advances this far past its last
 	// checkpoint, the next sweep journals its progress. Checkpoints bound
-	// the progress a crash loses, not the replay cost — recovery replays
-	// from frame zero either way, because the journal is deterministic.
+	// the progress a crash loses, not a running tenant's replay cost: it
+	// replays from frame zero either way, because the journal is
+	// deterministic.
 	CheckpointEvery int64
 	// RetainFrames is the retention horizon inherited by tenants whose spec
 	// leaves RetainFrames zero. See SpawnSpec.RetainFrames.
@@ -804,15 +831,8 @@ func (h *Host) checkpoint(force bool) {
 	if h.man == nil {
 		return
 	}
-	h.mu.Lock()
-	tenants := make([]*Tenant, 0, len(h.order))
-	for _, id := range h.order {
-		tenants = append(tenants, h.tenants[id])
-	}
-	h.mu.Unlock()
-
 	cks := make(map[string]ckptRecord)
-	for _, t := range tenants {
+	for _, t := range h.ordered() {
 		t.mu.Lock()
 		if t.reason == killedReason {
 			// Kill deletes the tenant's manifest range.
@@ -833,15 +853,20 @@ func (h *Host) checkpoint(force bool) {
 	_ = h.man.recordCheckpoints(cks)
 }
 
-// List returns every tenant's status in spawn order.
-func (h *Host) List() []Status {
+// ordered returns the registered tenants in spawn order.
+func (h *Host) ordered() []*Tenant {
 	h.mu.Lock()
-	ids := append([]string(nil), h.order...)
-	tenants := make([]*Tenant, 0, len(ids))
-	for _, id := range ids {
+	defer h.mu.Unlock()
+	tenants := make([]*Tenant, 0, len(h.order))
+	for _, id := range h.order {
 		tenants = append(tenants, h.tenants[id])
 	}
-	h.mu.Unlock()
+	return tenants
+}
+
+// List returns every tenant's status in spawn order.
+func (h *Host) List() []Status {
+	tenants := h.ordered()
 	out := make([]Status, 0, len(tenants))
 	for _, t := range tenants {
 		out = append(out, t.Status())
@@ -861,8 +886,8 @@ type Stats struct {
 	// Durable reports whether the host journals to a manifest store.
 	Durable bool `json:"durable"`
 	// QuarantineCached counts quarantined tenants holding their post-mortem
-	// snapshot in memory: every quarantined tenant does, so it equals
-	// Tenants[StateQuarantined].
+	// snapshot in memory: every one but those Recover parked, until their
+	// first read builds it.
 	QuarantineCached int `json:"quarantine_cached"`
 	// Draining reports a host refusing control-plane mutations on its way
 	// down.
@@ -878,10 +903,14 @@ func (h *Host) Stats() Stats {
 		Durable:  h.man != nil,
 		Draining: h.draining.Load(),
 	}
-	for _, s := range h.List() {
-		st.Tenants[s.State]++
+	for _, t := range h.ordered() {
+		t.mu.Lock()
+		st.Tenants[t.state]++
+		if t.state == StateQuarantined && t.parked == nil {
+			st.QuarantineCached++
+		}
+		t.mu.Unlock()
 	}
-	st.QuarantineCached = st.Tenants[StateQuarantined]
 	st.FramesStepped = h.frames.Load()
 	return st
 }

@@ -156,9 +156,6 @@ func TestInjectBarrierFailsOnHostClose(t *testing.T) {
 // are refused, and tenants with a recipe match their standalone run.
 func TestAtRestTenantsReleaseTheirSystem(t *testing.T) {
 	media := []stable.Medium{stable.NewMemMedium(), stable.NewMemMedium()}
-	mount := func() Config {
-		return durableConfig(stable.NewHardened(stable.MountReplicatedStore(media...)))
-	}
 	// recipes holds the acks of every tenant CheckEquivalence can check.
 	recipes := map[string][]AckedInjection{"done": nil}
 	check := func(ten *Tenant, want State) {
@@ -197,7 +194,7 @@ func TestAtRestTenantsReleaseTheirSystem(t *testing.T) {
 		}
 	}
 
-	h := NewHost(mount())
+	h := NewHost(memConfig(media))
 	tens := make(map[string]*Tenant)
 	for i, ss := range []SpawnSpec{
 		{ID: "done", Frames: 40},
@@ -244,7 +241,7 @@ func TestAtRestTenantsReleaseTheirSystem(t *testing.T) {
 
 	// The crash tore damaged's injection record on every replica.
 	tearOnEveryReplica(t, media, injKey("damaged", 0))
-	h2, rec, err := Recover(mount())
+	h2, rec, err := Recover(memConfig(media))
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}

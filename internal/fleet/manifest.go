@@ -5,7 +5,8 @@
 // checkpoint of the frame reached. Tenants themselves are deterministic, so
 // the manifest never stores tenant state: recovery re-spawns each tenant
 // from its spec and replays its acked injections at their applied frames,
-// reproducing the pre-crash execution byte-identically.
+// reproducing the pre-crash execution byte-identically — at once for a
+// running tenant, on the first read for one its checkpoint records at rest.
 //
 // Storage layout (all values JSON, all records CRC-framed by the stable
 // layer underneath):
@@ -87,9 +88,11 @@ type injRecord struct {
 
 // ckptRecord journals a tenant's progress: the highest frame boundary known
 // committed, plus the lifecycle state so completed and quarantined tenants
-// restore without guessing. Recovery replays the tenant to Frame; anything
-// the tenant ran past its last checkpoint is progress lost to the crash,
-// bounded by Config.CheckpointEvery.
+// restore without guessing. Recovery replays a running tenant to Frame;
+// anything it ran past its last checkpoint is progress lost to the crash,
+// bounded by Config.CheckpointEvery. A checkpoint that records the tenant at
+// rest is all Recover needs to register it, parked; the replay waits for
+// the first read of its telemetry.
 type ckptRecord struct {
 	Frame  int64  `json:"frame"`
 	State  State  `json:"state"`

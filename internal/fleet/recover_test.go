@@ -42,6 +42,12 @@ func durableConfig(st *stable.Store) Config {
 	return Config{Shards: 2, Batch: 4, Manifest: st, CheckpointEvery: 16}
 }
 
+// memConfig mounts a durable config over surviving in-memory media, as a
+// restarted host does.
+func memConfig(media []stable.Medium) Config {
+	return durableConfig(stable.NewHardened(stable.MountReplicatedStore(media...)))
+}
+
 // TestRestartEquivalence is the tentpole property: spawn a fleet on a
 // durable host, inject live faults, hard-stop the host mid-run (no drain, no
 // final checkpoint — the kill -9 shape), recover from the on-disk manifest,
@@ -475,7 +481,7 @@ func TestRecoverParallelRebuild(t *testing.T) {
 	fates := []string{"completed", "running", "requarantined", "damaged", "lost", "retired"}
 	perFate := max(2, (2*runtime.GOMAXPROCS(0)+2+len(fates)-1)/len(fates))
 	media := []stable.Medium{stable.NewMemMedium(), stable.NewMemMedium()}
-	h := manualHost(t, durableConfig(stable.NewHardened(stable.MountReplicatedStore(media...))))
+	h := manualHost(t, memConfig(media))
 
 	want := &Recovery{Running: perFate, Completed: perFate}
 	var order []string // spawn order of the tenants recovery keeps
@@ -538,7 +544,7 @@ func TestRecoverParallelRebuild(t *testing.T) {
 	sort.Strings(want.Quarantined)
 	sort.Strings(want.Dropped)
 
-	h2, rec, err := Recover(durableConfig(stable.NewHardened(stable.MountReplicatedStore(media...))))
+	h2, rec, err := Recover(memConfig(media))
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -638,10 +644,7 @@ func TestRecoverReusedIDDropsLeftoverRecords(t *testing.T) {
 	for _, lose := range []string{"deleted", "torn"} {
 		t.Run(lose, func(t *testing.T) {
 			media := []stable.Medium{stable.NewMemMedium(), stable.NewMemMedium()}
-			mount := func() Config {
-				return durableConfig(stable.NewHardened(stable.MountReplicatedStore(media...)))
-			}
-			h := manualHost(t, mount())
+			h := manualHost(t, memConfig(media))
 			old, err := h.Spawn(SpawnSpec{ID: "x", Preset: "threeconfig", Seed: 1})
 			if err != nil {
 				t.Fatalf("spawn: %v", err)
@@ -660,7 +663,7 @@ func TestRecoverReusedIDDropsLeftoverRecords(t *testing.T) {
 				tearOnEveryReplica(t, media, spawnKey("x"))
 			}
 
-			h2, rec, err := Recover(mount())
+			h2, rec, err := Recover(memConfig(media))
 			if err != nil {
 				t.Fatalf("Recover: %v", err)
 			}
@@ -679,7 +682,7 @@ func TestRecoverReusedIDDropsLeftoverRecords(t *testing.T) {
 			waitFor(t, "new x completed", func() bool { return x.Status().State == StateCompleted })
 			h2.Drain()
 
-			h3, rec3, err := Recover(mount())
+			h3, rec3, err := Recover(memConfig(media))
 			if err != nil {
 				t.Fatalf("second Recover: %v", err)
 			}
@@ -704,10 +707,7 @@ func TestRecoverReusedIDDropsLeftoverRecords(t *testing.T) {
 // Later spawns still journal, and the next recovery finds nothing of it.
 func TestKillDamagedTenantDeletesLostRecords(t *testing.T) {
 	media := []stable.Medium{stable.NewMemMedium(), stable.NewMemMedium()}
-	mount := func() Config {
-		return durableConfig(stable.NewHardened(stable.MountReplicatedStore(media...)))
-	}
-	h := manualHost(t, mount())
+	h := manualHost(t, memConfig(media))
 	x, err := h.Spawn(SpawnSpec{ID: "x", Preset: "threeconfig", Seed: 1})
 	if err != nil {
 		t.Fatalf("spawn: %v", err)
@@ -716,7 +716,7 @@ func TestKillDamagedTenantDeletesLostRecords(t *testing.T) {
 	ackManual(t, h, x, Injection{Kind: "env", Factor: "alt1", Value: "failed"})
 	tearOnEveryReplica(t, media, injKey("x", 0))
 
-	h2, rec, err := Recover(mount())
+	h2, rec, err := Recover(memConfig(media))
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -739,7 +739,7 @@ func TestKillDamagedTenantDeletesLostRecords(t *testing.T) {
 	}
 	h2.Drain()
 
-	h3, rec3, err := Recover(mount())
+	h3, rec3, err := Recover(memConfig(media))
 	if err != nil {
 		t.Fatalf("second Recover: %v", err)
 	}
