@@ -329,11 +329,11 @@ func summarize(out io.Writer, asJSON bool, events []telemetry.Event, rs *spec.Re
 		if rs != nil {
 			frameLen = rs.FrameLen
 		}
-		tr, base, err := telemetry.ReconstructTrace("flightrec", frameLen, events)
+		tr, err := telemetry.ReconstructTrace("flightrec", frameLen, events, -1)
 		if err != nil {
 			return fmt.Errorf("reconstructing trace: %w", err)
 		}
-		rep.Cycles, rep.BaseFrame = tr.Len(), base
+		rep.Cycles, rep.BaseFrame = tr.Len(), tr.Base
 		rep.Checked = "SP1, SP4"
 		rep.Violations = append(rep.Violations, trace.CheckSP1(tr)...)
 		rep.Violations = append(rep.Violations, trace.CheckSP4(tr)...)
@@ -410,7 +410,7 @@ func summarize(out io.Writer, asJSON bool, events []telemetry.Event, rs *spec.Re
 	if rs != nil {
 		frameLen = rs.FrameLen
 	}
-	tr, base, err := telemetry.ReconstructTrace("flightrec", frameLen, events)
+	tr, err := telemetry.ReconstructTrace("flightrec", frameLen, events, -1)
 	if err != nil {
 		return fmt.Errorf("reconstructing trace: %w", err)
 	}
@@ -426,7 +426,7 @@ func summarize(out io.Writer, asJSON bool, events []telemetry.Event, rs *spec.Re
 	}
 	if len(violations) == 0 {
 		fmt.Fprintf(out, "%s: all properties hold over the reconstructed trace (%d cycles, base frame %d)\n",
-			checked, tr.Len(), base)
+			checked, tr.Len(), tr.Base)
 		if rs == nil {
 			fmt.Fprintln(out, "(no specification given: pass -spec, -canonical or -avionics to also check SP2/SP3)")
 		}

@@ -142,8 +142,8 @@ const (
 // off and returns the fastest block of each plus the median of the per-pair
 // overheads. Both systems are warmed once and then advance in lockstep, so
 // every pair compares the two arms at the same frame count and
-// frame-count-dependent costs (notably the live trace's slice growth)
-// cancel in the subtraction; which arm runs first alternates, so neither
+// frame-count-dependent costs (notably the rings' growth) cancel in the
+// subtraction; which arm runs first alternates, so neither
 // always inherits the other's cache and GC state.
 func measurePair(tb testing.TB, on, off *System) (onBest, offBest armSample, medianPct float64) {
 	tb.Helper()

@@ -119,7 +119,13 @@ type Options struct {
 	// TelemetryCapacity sizes the flight-recorder ring. Zero selects the
 	// default capacity; a negative value disables the telemetry layer
 	// entirely (no registry, no recorder, no per-frame persistence) —
-	// the ablation arm of the observability-overhead benchmark.
+	// the ablation arm of the observability-overhead benchmark. Trace()
+	// is a view over the ring's frame-state samples, so the ring bounds
+	// the view: how many frames it covers depends on how often the state
+	// changes and on how many events the ring records per frame (DESIGN.md
+	// §10). With telemetry disabled the system keeps a private
+	// default-capacity ring that holds only frame-state samples and is
+	// never persisted, so Trace() and CheckProperties() work on both arms.
 	TelemetryCapacity int
 	// TraceSeed salts the causal-trace identities: runs with different
 	// seeds produce distinct trace IDs, equal seeds reproduce them
@@ -128,15 +134,19 @@ type Options struct {
 	TraceSeed int64
 	// RetainFrames bounds the system's history to a sliding window of
 	// frames: the flight recorder drops journal events (live and persisted
-	// chunks alike) older than the horizon at every frame, and the
-	// sys_trace and the SCRAM kernel's protocol log (Kernel().Events())
-	// drop theirs whenever they reach twice the window, so a tenant's
-	// memory and stable-store footprint are flat in frames — the
-	// "weeks-long run" mode. Zero (the default) retains everything, the
-	// full protocol log included. Retention is configuration, not runtime
-	// state: property checks and flightrec cover the retained window, and
-	// a replayed or recovered run must use the same horizon for its
-	// journal and trace to stay byte-identical with the original.
+	// chunks alike) older than the horizon at every frame, and the SCRAM
+	// kernel's protocol log (Kernel().Events()) drops its entries every
+	// window once it spans two, so a tenant's memory and stable-store
+	// footprint are flat in frames — the "weeks-long run" mode. Trace() is
+	// a view over the journal, so it holds only the frame-state samples
+	// inside the window: a quiet system's view is empty once its last
+	// state change has left the window. Zero (the default) retains
+	// everything the ring can hold, the full protocol log included.
+	// Retention is configuration, not runtime state: property checks and
+	// flightrec cover the retained window, and a replayed or recovered run
+	// must use the same horizon for its journal and trace to stay
+	// byte-identical with the original. The private ring of a system with
+	// telemetry disabled is not trimmed.
 	RetainFrames int64
 	// DisableTracing turns the causal trace layer off while leaving the
 	// rest of the telemetry stack on — the ablation arm of the tracing
@@ -184,10 +194,8 @@ type System struct {
 	monitors []*envmon.Monitor
 	script   *envmon.Script
 	events   []ProcEvent
-	tr       *trace.Trace
 	// retain is Options.RetainFrames: the sliding history window recordHook
-	// trims the trace and the kernel's protocol log behind (0 keeps
-	// everything).
+	// trims the kernel's protocol log behind (0 keeps everything).
 	retain int64
 
 	// realApps caches rs.RealApps() (declaration order) and procHealth the
@@ -197,49 +205,41 @@ type System struct {
 	procHealth []envmon.Factor // indexed like pool.Procs()
 
 	// envSeen/envState cache the classified environment keyed on the
-	// environment's change version: recordHook and the trace need the
-	// classification every frame, but it can only change when some factor
-	// changed.
+	// environment's change version: recordHook needs the classification
+	// every frame, but it can only change when some factor changed.
 	envSeen  uint64
 	envValid bool
 	envState spec.EnvState
 
-	// lastApps is the Apps map of the most recently appended trace state
-	// (owned by the trace, never mutated in place). On frames whose per-app
-	// states all match the previous frame's, recordHook reuses the map
-	// instead of allocating an identical one — the steady-state case.
-	// appScratch holds the frame's computed per-app states (indexed like
-	// rs.Apps) while deciding.
-	lastApps   map[spec.AppID]trace.AppState
-	appScratch []trace.AppState
+	// curCfg, curEnv and curApps are the frame's system state, tr(cycle),
+	// as recordHook computed it (curApps indexed like rs.Apps). They are
+	// scratch: telemetryHook turns them into a frame-state sample only
+	// when they differ from the last sample.
+	curCfg  spec.ConfigID
+	curEnv  spec.EnvState
+	curApps []telemetry.AppSnap
 	// procScratch and lowScratch are the reused needed/low-power sets of
 	// the power hooks, cleared per use so reconfiguration frames apply
 	// processor modes without rebuilding maps.
 	procScratch map[spec.ProcID]bool
 	lowScratch  map[spec.ProcID]bool
-	// stateChanged reports whether the state recordHook just appended
-	// differs from the previous frame's (config, env, or any app state).
-	// telemetryHook keys its run-length-encoded frame-state sampling off
-	// this flag instead of re-walking the app maps every frame.
-	stateChanged bool
-	lastCfgRec   spec.ConfigID
-	lastEnvRec   spec.EnvState
 
 	// telReg and telRec are the system's metrics registry and
 	// flight-recorder ring; nil when telemetry is disabled. telSink is the
 	// always non-nil recording surface (the no-op sink under ablation),
-	// selected once at construction. lastFS and lastFSFrame run-length-
-	// encode the frame-state samples: a sample is recorded only when the
-	// state differs from the previous frame's, and telFrame tracks the
-	// last frame the telemetry hook observed so FlushTelemetry can close
-	// the final run with one last sample.
-	telReg      *telemetry.Registry
-	telRec      *telemetry.Recorder
-	telSink     telemetry.Sink
-	book        *telemetry.SpanBook
+	// selected once at construction.
+	telReg  *telemetry.Registry
+	telRec  *telemetry.Recorder
+	telSink telemetry.Sink
+	book    *telemetry.SpanBook
+	// states is the ring that holds the frame-state samples Trace()
+	// re-expands: telRec, or with telemetry disabled a private ring that
+	// holds nothing else and is never persisted. lastFS and lastFSFrame
+	// run-length-encode the samples: a sample is recorded only when the
+	// state differs from the previous frame's.
+	states      *telemetry.Recorder
 	lastFS      *telemetry.FrameState
 	lastFSFrame int64
-	telFrame    int64
 
 	// lastPowerIsPlan/lastPowerSeq/lastPowerTarget identify the power-mode
 	// decision already applied (a plan's transition modes or a completed
@@ -330,7 +330,6 @@ func NewSystem(opts Options) (*System, error) {
 		classify: opts.Classifier,
 		runtimes: make(map[spec.AppID]*appRuntime),
 		events:   append([]ProcEvent(nil), opts.ProcEvents...),
-		tr:       &trace.Trace{System: rs.Name, FrameLen: rs.FrameLen},
 		retain:   opts.RetainFrames,
 		telSink:  telemetry.NopSink{},
 	}
@@ -351,7 +350,7 @@ func NewSystem(opts Options) (*System, error) {
 	for _, p := range s.pool.Procs() {
 		s.procHealth = append(s.procHealth, ProcHealthFactor(p.ID()))
 	}
-	s.appScratch = make([]trace.AppState, len(rs.Apps))
+	s.curApps = make([]telemetry.AppSnap, len(rs.Apps))
 	s.procScratch = make(map[spec.ProcID]bool, len(rs.Platform.Procs))
 	s.lowScratch = make(map[spec.ProcID]bool, len(rs.Platform.Procs))
 
@@ -413,6 +412,7 @@ func NewSystem(opts Options) (*System, error) {
 			s.telRec.SetRetention(opts.RetainFrames)
 		}
 		s.telSink = s.telRec
+		s.states = s.telRec
 		s.manager.setTelemetry(s.telReg, s.telRec)
 		if !opts.DisableTracing {
 			// One span book for the whole system: the kernel, the SCRAM
@@ -448,6 +448,8 @@ func NewSystem(opts Options) (*System, error) {
 				s.telReg.Counter("failstop/halts").Inc()
 			})
 		}
+	} else {
+		s.states = telemetry.NewRecorder(0)
 	}
 
 	// Scheduler, tasks, hooks.
@@ -525,14 +527,14 @@ func NewSystem(opts Options) (*System, error) {
 	if s.mem != nil {
 		s.sched.AddCommitHook(s.membershipFinishHook) // stage the frame's membership record before commits
 	}
-	s.sched.AddCommitHook(s.commitHook)  // frame-atomic stable-storage commits
-	s.sched.AddCommitHook(s.scrubHook)   // hardened-storage scrub + media fault clock
-	s.sched.AddCommitHook(s.powerHook)   // apply the new configuration's processor modes
-	s.sched.AddCommitHook(s.recordHook)  // append tr(cycle) to the trace
-	s.sched.AddCommitHook(s.injectHook)  // stage next frame's env changes and repairs
-	s.sched.AddCommitHook(s.script.Hook) // scripted env events for the next frame
+	s.sched.AddCommitHook(s.commitHook)    // frame-atomic stable-storage commits
+	s.sched.AddCommitHook(s.scrubHook)     // hardened-storage scrub + media fault clock
+	s.sched.AddCommitHook(s.powerHook)     // apply the new configuration's processor modes
+	s.sched.AddCommitHook(s.recordHook)    // compute tr(cycle) before the next frame's changes land
+	s.sched.AddCommitHook(s.injectHook)    // stage next frame's env changes and repairs
+	s.sched.AddCommitHook(s.script.Hook)   // scripted env events for the next frame
+	s.sched.AddCommitHook(s.telemetryHook) // sample tr(cycle) into the ring; with telemetry on, stage ring + metrics
 	if s.telSink.Enabled() {
-		s.sched.AddCommitHook(s.telemetryHook) // sample tr(cycle) into the ring; stage ring + metrics
 		s.sched.SetObserver(newTelObserver(s.telReg, s.telRec))
 	}
 
@@ -810,21 +812,14 @@ func (s *System) storageHaltPending(p *failstop.Processor) bool {
 	return cur == ProcOK
 }
 
-// recordHook appends the frame's system state to the trace: the formal
-// model's tr(cycle).
+// recordHook computes the frame's system state, the formal model's
+// tr(cycle), into the cur* scratch. It runs before injectHook and the script
+// hook stage the next frame's repairs and environment changes; telemetryHook
+// samples the scratch into the ring after them.
 func (s *System) recordHook(ctx frame.Context) error {
 	k := s.manager.kernel()
-	cur := k.Current()
-	st := trace.SysState{
-		Cycle:  ctx.Frame,
-		Config: cur,
-		Env:    s.classifyEnv(),
-	}
-	// Compute every application's state into the scratch slice first. In the
-	// steady state the per-app states match the previous frame's exactly, and
-	// the previous frame's Apps map — immutable once appended to the trace —
-	// is shared instead of allocating an identical copy every frame.
-	unchanged := s.lastApps != nil && len(s.lastApps) == len(s.rs.Apps)
+	s.curCfg = k.Current()
+	s.curEnv = s.classifyEnv()
 	for i, decl := range s.rs.Apps {
 		status := k.StatusOf(decl.ID, ctx.Frame)
 		appSpec := k.SpecOf(decl.ID)
@@ -844,38 +839,16 @@ func (s *System) recordHook(ctx frame.Context) error {
 				status = trace.StatusInterrupted
 			}
 		}
-		as := trace.AppState{Status: status, Spec: appSpec, PreOK: preOK}
-		s.appScratch[i] = as
-		if unchanged && s.lastApps[decl.ID] != as {
-			unchanged = false
-		}
+		s.curApps[i] = telemetry.AppSnap{Status: status, Spec: appSpec, PreOK: preOK}
 	}
-	if unchanged {
-		st.Apps = s.lastApps
-	} else {
-		//lint:allow allocfree the trace retains this map forever, so it cannot be scratch; built only on a state change, never in steady state
-		st.Apps = make(map[spec.AppID]trace.AppState, len(s.rs.Apps))
-		for i, decl := range s.rs.Apps {
-			st.Apps[decl.ID] = s.appScratch[i]
-		}
-		s.lastApps = st.Apps
-	}
-	s.stateChanged = !unchanged || st.Config != s.lastCfgRec || st.Env != s.lastEnvRec
-	s.lastCfgRec, s.lastEnvRec = st.Config, st.Env
-	if err := s.tr.Append(st); err != nil {
-		return err
-	}
-	// Retention: once the trace holds two full windows, drop back to one,
-	// and drop the active kernel's protocol log to the same horizon.
-	// Trimming in window-sized chunks amortizes the copy to O(1)/frame and
-	// the allocation to one slice per window, and the 2x slack means every
-	// cycle inside the horizon stays addressable between trims. Driven only
-	// by the frame number, so replays trim at exactly the same frames.
-	if s.retain > 0 && s.tr.Len() >= 2*s.retain {
-		horizon := s.tr.End() - s.retain
-		//lint:allow allocfree retention trim: one slice copy per retain-frames window, amortized O(1) per frame
-		s.tr.Trim(horizon)
-		k.TrimEvents(horizon)
+	// Retention: once two full windows have run, and every window after
+	// that, drop the active kernel's protocol log back to one window.
+	// Trimming in window-sized chunks amortizes the copy to O(1)/frame, and
+	// the 2x slack keeps every entry inside the horizon between trims.
+	// Driven only by the frame number, so replays trim at exactly the same
+	// frames.
+	if end := ctx.Frame + 1; s.retain > 0 && end%s.retain == 0 && end >= 2*s.retain {
+		k.TrimEvents(end - s.retain)
 	}
 	return nil
 }
@@ -888,36 +861,46 @@ func (s *System) recordHook(ctx frame.Context) error {
 // to this many frames.
 const metricsPersistEvery = 512
 
-// telemetryHook is the last built-in hook: it samples the frame's recorded
-// system state into the flight-recorder ring and stages the ring delta
-// (plus, periodically, a metrics snapshot) onto the SCRAM host's stable
-// storage. Samples are run-length-encoded — recorded only when the state
-// differs from the previous frame's — and because the hook runs after
-// commitHook, frame k's staging commits with frame k+1: the recovered black
-// box trails the live system by at most one frame, exactly matching the
-// fail-stop model (writes staged in the halt frame die with the halt).
+// telemetryHook is the last built-in hook: it samples the frame's system
+// state into the ring and, with telemetry on, stages the ring delta (plus,
+// periodically, a metrics snapshot) onto the SCRAM host's stable storage.
+// Samples are run-length-encoded — recorded only when the state differs
+// from the previous frame's — and because the hook runs after commitHook,
+// frame k's staging commits with frame k+1: the recovered black box trails
+// the live system by at most one frame, exactly matching the fail-stop
+// model (writes staged in the halt frame die with the halt).
 func (s *System) telemetryHook(ctx frame.Context) error {
-	s.telFrame = ctx.Frame
-	if n := len(s.tr.States); n > 0 {
-		if st := s.tr.States[n-1]; st.Cycle == ctx.Frame {
-			// stateChanged chains frame over frame: while it stays false
-			// the appended states are all identical, so the last captured
-			// sample still describes the current frame.
-			if s.lastFS == nil || s.stateChanged {
-				fs := telemetry.CaptureState(st)
-				s.telRec.Record(telemetry.Event{
-					Frame:  ctx.Frame,
-					Kind:   telemetry.KindFrameState,
-					Config: string(st.Config),
-					State:  fs,
-				})
-				s.lastFS = fs
-				s.lastFSFrame = ctx.Frame
-			}
+	if s.sampleDue() {
+		//lint:allow allocfree the ring retains this sample, so it cannot be scratch; built only on a state change, never in steady state
+		apps := make(map[spec.AppID]telemetry.AppSnap, len(s.rs.Apps))
+		for i, decl := range s.rs.Apps {
+			apps[decl.ID] = s.curApps[i]
 		}
+		fs := &telemetry.FrameState{Config: s.curCfg, Env: s.curEnv, Apps: apps}
+		s.states.Record(telemetry.Event{
+			Frame:  ctx.Frame,
+			Kind:   telemetry.KindFrameState,
+			Config: string(fs.Config),
+			State:  fs,
+		})
+		s.lastFS, s.lastFSFrame = fs, ctx.Frame
 	}
 	persistMetrics := ctx.Frame%metricsPersistEvery == metricsPersistEvery-1
 	return s.persistTelemetry(persistMetrics)
+}
+
+// sampleDue reports whether the frame's state differs from the last
+// frame-state sample, so a new sample is due.
+func (s *System) sampleDue() bool {
+	if s.lastFS == nil || s.lastFS.Config != s.curCfg || s.lastFS.Env != s.curEnv {
+		return true
+	}
+	for i, decl := range s.rs.Apps {
+		if s.lastFS.Apps[decl.ID] != s.curApps[i] {
+			return true
+		}
+	}
+	return false
 }
 
 // persistTelemetry stages the ring delta (and, when asked, the metrics
@@ -942,21 +925,22 @@ func (s *System) persistTelemetry(metrics bool) error {
 // host's stable storage, making the full journal — including the final
 // frame's events, which the one-frame staging lag would otherwise leave
 // uncommitted — recoverable via PollStable. It also closes the run-length
-// encoding with a final frame-state sample, so the reconstructed trace
-// covers every executed frame. Call it after the last frame of a run; it is
-// a no-op when telemetry is disabled or the SCRAM host is down.
+// encoding with a final frame-state sample, so a trace reconstructed from
+// the recovered journal covers every executed frame. Call it after the last
+// frame of a run; it is a no-op when telemetry is disabled or the SCRAM host
+// is down.
 func (s *System) FlushTelemetry() error {
 	if !s.telSink.Enabled() || !s.manager.activeProc.Alive() {
 		return nil
 	}
-	if s.lastFS != nil && s.telFrame > s.lastFSFrame {
+	if last := s.Frame() - 1; s.lastFS != nil && last > s.lastFSFrame {
 		s.telSink.Record(telemetry.Event{
-			Frame:  s.telFrame,
+			Frame:  last,
 			Kind:   telemetry.KindFrameState,
 			Config: string(s.lastFS.Config),
 			State:  s.lastFS,
 		})
-		s.lastFSFrame = s.telFrame
+		s.lastFSFrame = last
 	}
 	if err := s.persistTelemetry(true); err != nil {
 		return err
@@ -1022,9 +1006,23 @@ func (s *System) RunUntil(maxFrames int, stop func() bool) (bool, error) {
 // Frame returns the number of executed frames.
 func (s *System) Frame() int64 { return s.sched.Frame() }
 
-// Trace returns the recorded system trace. The caller must not mutate it
-// while frames are executing.
-func (s *System) Trace() *trace.Trace { return s.tr }
+// Trace returns the system's sys_trace as a fresh view, built on each call
+// by re-expanding the ring's frame-state samples (telemetry.ReconstructTrace)
+// at O(frames in the window) cost. Cycles are absolute and the view ends at
+// the last executed frame, so End() is always Frame(). A ring that evicted
+// samples past its capacity, or trimmed them behind Options.RetainFrames,
+// starts the view after cycle 0 (Trace.Base), at its first surviving
+// all-normal sample, so no reconfiguration in the view lost its start; a
+// ring with no sample left yields an empty view at Base Frame().
+func (s *System) Trace() *trace.Trace {
+	tr, err := telemetry.ReconstructTrace(s.rs.Name, s.rs.FrameLen, s.states.Events(), s.Frame()-1)
+	if err != nil {
+		// The system records its samples itself, one per state change in
+		// frame order, so re-expansion fails only on a window without one.
+		return &trace.Trace{System: s.rs.Name, FrameLen: s.rs.FrameLen, Base: s.Frame()}
+	}
+	return tr
+}
 
 // Kernel returns the active SCRAM kernel.
 func (s *System) Kernel() *scram.Kernel { return s.manager.kernel() }
@@ -1051,17 +1049,17 @@ func (s *System) Bus() *bus.Bus { return s.bus }
 func (s *System) AddTask(t frame.Task) error { return s.sched.AddTask(t) }
 
 // AddCommitHook registers an extra frame-end hook. User hooks run after all
-// built-in hooks (bus delivery, commits, trace recording, environment
-// scripting), so a hook that mutates shared state does so deterministically
+// built-in hooks (bus delivery, commits, environment scripting, state
+// sampling), so a hook that mutates shared state does so deterministically
 // between frames — the right place for physics and plant models.
 func (s *System) AddCommitHook(h frame.CommitHook) { s.sched.AddCommitHook(h) }
 
 // TookOverAt reports whether (and when) the standby SCRAM took over.
 func (s *System) TookOverAt() (int64, bool) { return s.manager.TookOverAt() }
 
-// CheckProperties runs the SP1-SP4 checkers over the recorded trace.
+// CheckProperties runs the SP1-SP4 checkers over the trace view.
 func (s *System) CheckProperties() []trace.Violation {
-	return trace.CheckAll(s.tr, s.rs)
+	return trace.CheckAll(s.Trace(), s.rs)
 }
 
 // Membership returns the dynamic-membership manager, or nil when the system

@@ -335,7 +335,7 @@ func Restriction() (*RestrictionResult, error) {
 		if err := sc.Sys.Run(120); err != nil {
 			return inject.Metrics{}, err
 		}
-		return inject.Collect(sc.Sys.Trace(), sysSpec, int64(sysSpec.DwellFrames)+2), nil
+		return inject.Collect(sc.Sys.Trace(), sysSpec, int64(sysSpec.DwellFrames)+2)
 	}
 
 	m, err := measure(rs)
@@ -416,8 +416,11 @@ func CycleGuard(frames int, flapPeriod int) (*CycleGuardResult, error) {
 			sc.Close()
 			return nil, err
 		}
-		m := inject.Collect(sc.Sys.Trace(), avionics.Spec(), int64(dwell)+2)
+		m, err := inject.Collect(sc.Sys.Trace(), avionics.Spec(), int64(dwell)+2)
 		sc.Close()
+		if err != nil {
+			return nil, err
+		}
 		row := CycleGuardRow{
 			DwellFrames: dwell,
 			Reconfigs:   m.Reconfigs,

@@ -783,22 +783,9 @@ func (h *Host) injectPrimary(t *Tenant, inj Injection) (int64, error) {
 
 // claimRequest registers an idempotency key, returning the cache entry and
 // whether the caller is the primary (first claimant, responsible for filling
-// the entry and closing done). The cache is bounded; see dedupeCap.
+// the entry and closing done).
 func (h *Host) claimRequest(tenantID, requestID string) (*dedupeEntry, bool) {
-	key := tenantID + "\x00" + requestID
-	h.dmu.Lock()
-	defer h.dmu.Unlock()
-	if e, ok := h.dedupe[key]; ok {
-		return e, false
-	}
-	e := &dedupeEntry{done: make(chan struct{})}
-	h.dedupe[key] = e
-	h.dorder = append(h.dorder, key)
-	for len(h.dorder) > dedupeCap {
-		delete(h.dedupe, h.dorder[0])
-		h.dorder = h.dorder[1:]
-	}
-	return e, true
+	return h.dedupeInsert(tenantID, requestID, &dedupeEntry{done: make(chan struct{})})
 }
 
 // primeDedupe seeds the idempotency cache with a recovered injection's
@@ -810,17 +797,26 @@ func (h *Host) primeDedupe(tenantID, requestID string, applied int64) {
 	}
 	e := &dedupeEntry{done: make(chan struct{}), applied: applied}
 	close(e.done)
-	h.dmu.Lock()
+	h.dedupeInsert(tenantID, requestID, e)
+}
+
+// dedupeInsert caches e under the idempotency key unless the key is already
+// cached, and returns the cached entry and whether it is e. The cache is
+// bounded: past dedupeCap keys the oldest is evicted.
+func (h *Host) dedupeInsert(tenantID, requestID string, e *dedupeEntry) (*dedupeEntry, bool) {
 	key := tenantID + "\x00" + requestID
-	if _, ok := h.dedupe[key]; !ok {
-		h.dedupe[key] = e
-		h.dorder = append(h.dorder, key)
-		for len(h.dorder) > dedupeCap {
-			delete(h.dedupe, h.dorder[0])
-			h.dorder = h.dorder[1:]
-		}
+	h.dmu.Lock()
+	defer h.dmu.Unlock()
+	if old, ok := h.dedupe[key]; ok {
+		return old, false
 	}
-	h.dmu.Unlock()
+	h.dedupe[key] = e
+	h.dorder = append(h.dorder, key)
+	for len(h.dorder) > dedupeCap {
+		delete(h.dedupe, h.dorder[0])
+		h.dorder = h.dorder[1:]
+	}
+	return e, true
 }
 
 // checkpoint journals the progress of every tenant that moved since its last

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/envmon"
 	"repro/internal/stable"
 )
 
@@ -262,13 +263,26 @@ func TestAtRestTenantsReleaseTheirSystem(t *testing.T) {
 }
 
 // TestRetentionBoundsTenantFootprint: with RetainFrames set, a tenant's
-// trace — the one per-frame grower — stays within twice the window over a
-// 10k-frame run, while the unbounded spec grows linearly. The journal ring
-// trims behind the same horizon.
+// history stays within the window over a 10k-frame run. Its trace is a view
+// over the journal ring, which trims behind the retention horizon every
+// frame, so the retained view holds no frame older than the window, keeps
+// absolute cycles, and is exactly the tail of the unbounded run's view,
+// which covers every frame. A script that churns alt1 through the last
+// thousand frames keeps samples in the window; the quiet spec keeps none
+// once its last change has left the window, so its retained view is empty.
 func TestRetentionBoundsTenantFootprint(t *testing.T) {
-	run := func(retain int64) *core.System {
+	const retain, frames = 64, 10_000
+	var churn []envmon.Event
+	for i, f := 0, int64(frames-1000); f < frames; i, f = i+1, f+20 {
+		val := "failed"
+		if i%2 == 1 {
+			val = "ok"
+		}
+		churn = append(churn, envmon.Event{Frame: f, Factor: "alt1", Value: val})
+	}
+	run := func(script []envmon.Event, retain int64) *core.System {
 		t.Helper()
-		opts, err := SpawnOptions(SpawnSpec{Preset: "threeconfig", Seed: 77, RetainFrames: retain})
+		opts, err := SpawnOptions(SpawnSpec{Preset: "threeconfig", Seed: 77, Script: script, RetainFrames: retain})
 		if err != nil {
 			t.Fatalf("SpawnOptions: %v", err)
 		}
@@ -277,27 +291,43 @@ func TestRetentionBoundsTenantFootprint(t *testing.T) {
 			t.Fatalf("NewSystem: %v", err)
 		}
 		t.Cleanup(sys.Close)
-		if err := sys.StepTo(10_000); err != nil {
+		if err := sys.StepTo(frames); err != nil {
 			t.Fatalf("run: %v", err)
+		}
+		if _, rec := sys.Telemetry(); retain > 0 && rec.Trimmed() == 0 {
+			t.Fatal("journal ring never trimmed behind the retention horizon")
 		}
 		return sys
 	}
 
-	bounded := run(64)
-	if n := bounded.Trace().Len(); n > 128 {
-		t.Fatalf("retained trace holds %d states, want <= 2*64: footprint is not flat", n)
+	view := run(churn, retain).Trace()
+	if end := view.End(); end != frames {
+		t.Fatalf("trace end %d, want %d (absolute cycles must survive trimming)", end, frames)
 	}
-	if end := bounded.Trace().End(); end != 10_000 {
-		t.Fatalf("trace end %d, want 10000 (absolute cycles must survive trimming)", end)
+	// The last frame's horizon is frame frames-1-retain: the ring holds no
+	// sample older than that.
+	if view.Len() == 0 || view.Base < frames-1-retain {
+		t.Fatalf("retained trace covers [%d,%d), want a non-empty window starting at or after %d",
+			view.Base, view.End(), frames-1-retain)
 	}
-	_, rec := bounded.Telemetry()
-	if rec.Trimmed() == 0 {
-		t.Fatal("journal ring never trimmed behind the retention horizon")
+	full := run(churn, -1).Trace()
+	if n := full.Len(); n != frames {
+		t.Fatalf("unbounded trace holds %d states, want %d", n, frames)
+	}
+	if !reflect.DeepEqual(view.States, full.States[view.Base:]) {
+		t.Fatal("retained trace is not the tail of the unbounded trace")
 	}
 
-	unbounded := run(-1)
-	if n := unbounded.Trace().Len(); n != 10_000 {
-		t.Fatalf("unbounded trace holds %d states, want 10000", n)
+	// The quiet spec's last sample left the window long ago, so its view
+	// is empty but still ends at the frames run. This pins a known gap:
+	// keeping the sample that governs the horizon would change it.
+	quiet := run(nil, retain).Trace()
+	if quiet.Len() != 0 || quiet.Base != frames || quiet.End() != frames {
+		t.Fatalf("quiet retained trace covers [%d,%d) with %d states, want the empty view [%d,%d)",
+			quiet.Base, quiet.End(), quiet.Len(), frames, frames)
+	}
+	if n := run(nil, -1).Trace().Len(); n != frames {
+		t.Fatalf("quiet unbounded trace holds %d states, want %d", n, frames)
 	}
 }
 

@@ -50,11 +50,18 @@ type Metrics struct {
 	OpenWindow bool
 }
 
-// Collect computes campaign metrics from a trace. chainGap is the maximum
-// number of normal frames between two reconfigurations that still count as
-// the same failure chain (the dwell time plus scheduling slack is the usual
-// choice).
-func Collect(tr *trace.Trace, rs *spec.ReconfigSpec, chainGap int64) Metrics {
+// Collect computes campaign metrics from the trace of a whole run. chainGap
+// is the maximum number of normal frames between two reconfigurations that
+// still count as the same failure chain (the dwell time plus scheduling
+// slack is the usual choice). A system's trace is a view over its bounded
+// flight-recorder ring, so a long enough run loses its first frames; Collect
+// refuses such a trace (Base after cycle 0) rather than report the part the
+// ring kept as the whole run.
+func Collect(tr *trace.Trace, rs *spec.ReconfigSpec, chainGap int64) (Metrics, error) {
+	if tr.Base != 0 {
+		return Metrics{}, fmt.Errorf("inject: the trace covers frames [%d,%d) only: the flight-recorder ring evicted the run's first frames, so its whole-run metrics are unknown; shorten the run",
+			tr.Base, tr.End())
+	}
 	m := Metrics{
 		Frames:   tr.Len(),
 		ChainGap: chainGap,
@@ -82,7 +89,7 @@ func Collect(tr *trace.Trace, rs *spec.ReconfigSpec, chainGap int64) Metrics {
 	m.RestrictionFrames = tr.RestrictionFrames()
 	m.Violations = trace.CheckAll(tr, rs)
 	_, m.OpenWindow = tr.OpenReconfig()
-	return m
+	return m, nil
 }
 
 // CanonicalCampaign configures a randomized run of the canonical
@@ -240,14 +247,11 @@ func runCampaign(opts core.Options, frames int, dwell int64) (Metrics, *trace.Tr
 		return Metrics{}, nil, fmt.Errorf("inject: running campaign: %w", err)
 	}
 	tr := sys.Trace()
-	return Collect(tr, opts.Spec, dwell+2), tr, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
+	m, err := Collect(tr, opts.Spec, dwell+2)
+	if err != nil {
+		return Metrics{}, nil, err
 	}
-	return b
+	return m, tr, nil
 }
 
 // ExhaustiveResult summarizes a bounded-exhaustive verification run.

@@ -144,7 +144,10 @@ func TestCollectMetrics(t *testing.T) {
 		}
 	}
 	rs := spectest.ThreeConfig()
-	m := Collect(tr, rs, 1)
+	m, err := Collect(tr, rs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.Frames != 16 {
 		t.Errorf("Frames = %d", m.Frames)
 	}
@@ -181,12 +184,41 @@ func TestCollectOpenWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := Collect(tr, spectest.ThreeConfig(), 1)
+	m, err := Collect(tr, spectest.ThreeConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !m.OpenWindow {
 		t.Error("open window not reported")
 	}
 	if m.Reconfigs != 0 {
 		t.Errorf("Reconfigs = %d, want 0", m.Reconfigs)
+	}
+}
+
+// TestCollectRefusesPartialTrace: whole-run metrics need the whole run. A
+// trace that starts after cycle 0 — the view of a run that outlived its
+// flight-recorder ring — is refused, by Collect and so by every campaign
+// driver, instead of being counted as the whole run.
+func TestCollectRefusesPartialTrace(t *testing.T) {
+	tr := &trace.Trace{System: "m", FrameLen: time.Millisecond, Base: 5}
+	for c := int64(5); c < 8; c++ {
+		err := tr.Append(trace.SysState{Cycle: c, Config: "full", Env: "e",
+			Apps: map[spec.AppID]trace.AppState{"a": {Status: trace.StatusNormal, Spec: "s", PreOK: true}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Collect(tr, spectest.ThreeConfig(), 1); err == nil {
+		t.Error("Collect accepted a trace starting at cycle 5")
+	}
+
+	// Alternator changes about every 10 frames evict the default ring's
+	// first samples well before frame 10000.
+	c := CanonicalCampaign{Seed: 3, Frames: 10_000, EnvEvents: 1000, Dwell: -1}
+	if _, tr, err := c.Run(); err == nil {
+		t.Fatalf("a %d-frame campaign ran with its trace at [%d,%d): want an error once the ring evicts",
+			c.Frames, tr.Base, tr.End())
 	}
 }
 

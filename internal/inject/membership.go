@@ -213,9 +213,13 @@ func (c MembershipCampaign) Run() (MembershipMetrics, *trace.Trace, error) {
 	}
 
 	tr := sys.Trace()
+	m, err := Collect(tr, rs, int64(rs.DwellFrames)+2)
+	if err != nil {
+		return MembershipMetrics{}, nil, err
+	}
 	mgr := sys.Membership()
 	out := MembershipMetrics{
-		Metrics:              Collect(tr, rs, int64(rs.DwellFrames)+2),
+		Metrics:              m,
 		Epoch:                mgr.Epoch(),
 		Membership:           mgr.Stats(),
 		Rejections:           mgr.Rejections(),

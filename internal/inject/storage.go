@@ -133,8 +133,12 @@ func (c StorageCampaign) Run() (StorageMetrics, *trace.Trace, error) {
 	}
 
 	tr := sys.Trace()
+	m, err := Collect(tr, rs, int64(rs.DwellFrames)+2)
+	if err != nil {
+		return StorageMetrics{}, nil, err
+	}
 	out := StorageMetrics{
-		Metrics:         Collect(tr, rs, int64(rs.DwellFrames)+2),
+		Metrics:         m,
 		StagedHighWater: sys.StagedHighWater(),
 		Ring:            recoverRing(sys),
 	}
@@ -214,8 +218,12 @@ func (c BusCampaign) Run() (BusMetrics, *trace.Trace, error) {
 
 	tr := sc.Sys.Trace()
 	rs := avionics.Spec()
+	m, err := Collect(tr, rs, int64(rs.DwellFrames)+2)
+	if err != nil {
+		return BusMetrics{}, nil, err
+	}
 	out := BusMetrics{
-		Metrics:    Collect(tr, rs, int64(rs.DwellFrames)+2),
+		Metrics:    m,
 		Faults:     plan.Stats(),
 		FinalAltFt: sc.Dyn.State().AltFt,
 	}

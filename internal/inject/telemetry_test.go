@@ -15,8 +15,8 @@ import (
 // system through an injected fail-stop halt of an application processor,
 // poll the SCRAM host's committed stable storage — exactly what a
 // post-mortem reader would do — recover the flight-recorder ring, and check
-// that the trace reconstructed from it passes the same SP1-SP4 checkers as
-// the live trace, frame for frame.
+// that the trace reconstructed from it equals the live system's trace view,
+// frame for frame, and passes the same SP1-SP4 checkers.
 func TestRecoveredRingRoundTrip(t *testing.T) {
 	rs := spectest.ThreeConfig()
 	const frames = 60
@@ -56,12 +56,12 @@ func TestRecoveredRingRoundTrip(t *testing.T) {
 	}
 
 	live := sys.Trace()
-	rec, base, err := telemetry.ReconstructTrace(live.System, live.FrameLen, ring)
+	rec, err := telemetry.ReconstructTrace(live.System, live.FrameLen, ring, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base != 0 {
-		t.Fatalf("ring evicted frames (base %d); test expects full coverage", base)
+	if rec.Base != 0 {
+		t.Fatalf("ring evicted frames (base %d); test expects full coverage", rec.Base)
 	}
 	if rec.Len() != live.Len() {
 		t.Fatalf("reconstructed trace has %d cycles, live has %d", rec.Len(), live.Len())
@@ -122,7 +122,7 @@ func TestDefeatModeRingSPRoundTrip(t *testing.T) {
 	}
 
 	rs := spectest.ThreeConfig()
-	rec, _, err := telemetry.ReconstructTrace(live.System, live.FrameLen, m.Ring)
+	rec, err := telemetry.ReconstructTrace(live.System, live.FrameLen, m.Ring, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

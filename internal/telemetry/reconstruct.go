@@ -16,54 +16,19 @@ type AppSnap struct {
 }
 
 // FrameState is the per-frame system-state sample carried by a
-// KindFrameState event: the same information the live trace records, so a
-// recovered ring reconstructs a sys_trace the SP1-SP4 checkers accept.
+// KindFrameState event: one sys_trace row, so a live or recovered ring
+// re-expands into a trace the SP1-SP4 checkers accept.
 type FrameState struct {
 	Config spec.ConfigID          `json:"config"`
 	Env    spec.EnvState          `json:"env"`
 	Apps   map[spec.AppID]AppSnap `json:"apps"`
 }
 
-// CaptureState converts a live trace state into a frame-state sample.
-func CaptureState(st trace.SysState) *FrameState {
-	fs := &FrameState{
-		Config: st.Config,
-		Env:    st.Env,
-		Apps:   make(map[spec.AppID]AppSnap, len(st.Apps)),
-	}
-	// Plain map iteration: insertion order into a map is immaterial, and
-	// every consumer that needs determinism sorts the keys when reading.
-	for id, a := range st.Apps {
-		fs.Apps[id] = AppSnap{Status: a.Status, Spec: a.Spec, PreOK: a.PreOK}
-	}
-	return fs
-}
-
-// Equal reports whether two frame-state samples are identical. The recorder
-// uses it to run-length-encode the ring: a frame whose state matches the
-// previous frame's records no sample at all.
-func (f *FrameState) Equal(o *FrameState) bool {
-	if o == nil || f.Config != o.Config || f.Env != o.Env || len(f.Apps) != len(o.Apps) {
-		return false
-	}
-	for id, a := range f.Apps {
-		if b, ok := o.Apps[id]; !ok || a != b {
-			return false
-		}
-	}
-	return true
-}
-
-// EqualState reports whether the sample matches a live trace state. The
-// frame-commit hook uses it to decide whether a new sample is due without
-// allocating a FrameState (and its map) every frame.
-func (f *FrameState) EqualState(st trace.SysState) bool {
-	if f == nil || f.Config != st.Config || f.Env != st.Env || len(f.Apps) != len(st.Apps) {
-		return false
-	}
-	for id, a := range st.Apps {
-		b, ok := f.Apps[id]
-		if !ok || b.Status != a.Status || b.Spec != a.Spec || b.PreOK != a.PreOK {
+// allNormal reports whether every application in the sample operates
+// normally: the state between two reconfigurations.
+func (fs *FrameState) allNormal() bool {
+	for _, a := range fs.Apps {
+		if !a.Status.Normal() {
 			return false
 		}
 	}
@@ -71,55 +36,72 @@ func (f *FrameState) EqualState(st trace.SysState) bool {
 }
 
 // ReconstructTrace rebuilds a sys_trace from the frame-state events of a
-// (possibly recovered) flight-recorder ring. The ring run-length-encodes
+// live or recovered flight-recorder ring. The ring run-length-encodes
 // system state: a sample is recorded only when the state differs from the
-// previous frame's (plus one final sample closing the run), so frames
-// between two samples repeat the earlier sample's state. Because the ring
-// is bounded, the oldest frames may have been evicted: the reconstructed
-// trace is rebased so its first surviving sample is cycle 0, and the
-// original frame number of cycle 0 is returned as base.
-func ReconstructTrace(system string, frameLen time.Duration, events []Event) (*trace.Trace, int64, error) {
+// previous frame's, so frames between two samples repeat the earlier
+// sample's state, and frames of one run share one Apps map. Cycles stay
+// absolute (Trace.Base is the frame of the first state in the trace). The
+// last sample's run extends through frame last; a last at or before that
+// sample's frame (flightrec passes -1: a flushed journal ends with a closing
+// sample) ends the trace at the last sample.
+//
+// The ring is bounded, so its oldest samples may have been evicted or
+// trimmed. A system records its first sample at frame 0, so a first
+// surviving sample after frame 0 means the samples before it are gone, and
+// with them the start of any reconfiguration still in progress at that
+// sample. The trace then starts at the first sample in which every
+// application operates normally, so every reconfiguration it holds begins
+// inside it and the checkers see no window cut at its start. A ring with no
+// such sample keeps its samples: the whole trace is one open window, at
+// least as long as the true one.
+func ReconstructTrace(system string, frameLen time.Duration, events []Event, last int64) (*trace.Trace, error) {
 	var samples []Event
 	for _, e := range events {
 		if e.Kind == KindFrameState {
 			if e.State == nil {
-				return nil, 0, fmt.Errorf("telemetry: frame-state event #%d has no state", e.Seq)
+				return nil, fmt.Errorf("telemetry: frame-state event #%d has no state", e.Seq)
 			}
 			if n := len(samples); n > 0 && e.Frame <= samples[n-1].Frame {
-				return nil, 0, fmt.Errorf("telemetry: frame-state events out of order: event #%d is frame %d after frame %d",
+				return nil, fmt.Errorf("telemetry: frame-state events out of order: event #%d is frame %d after frame %d",
 					e.Seq, e.Frame, samples[n-1].Frame)
 			}
 			samples = append(samples, e)
 		}
 	}
 	if len(samples) == 0 {
-		return nil, 0, fmt.Errorf("telemetry: no frame-state events in ring")
+		return nil, fmt.Errorf("telemetry: no frame-state events in ring")
+	}
+	if samples[0].Frame > 0 {
+		for i, e := range samples {
+			if e.State.allNormal() {
+				samples = samples[i:]
+				break
+			}
+		}
 	}
 	base := samples[0].Frame
-	last := samples[len(samples)-1].Frame
-	tr := &trace.Trace{System: system, FrameLen: frameLen}
-	next := 0
-	var cur *FrameState
-	for f := base; f <= last; f++ {
-		for next < len(samples) && samples[next].Frame == f {
-			cur = samples[next].State
-			next++
-		}
-		st := trace.SysState{
-			Cycle:  f - base,
-			Config: cur.Config,
-			Env:    cur.Env,
-			Apps:   make(map[spec.AppID]trace.AppState, len(cur.Apps)),
+	last = max(last, samples[len(samples)-1].Frame)
+	tr := &trace.Trace{
+		System:   system,
+		FrameLen: frameLen,
+		Base:     base,
+		States:   make([]trace.SysState, 0, last-base+1),
+	}
+	for i, e := range samples {
+		end := last + 1
+		if i+1 < len(samples) {
+			end = samples[i+1].Frame
 		}
 		// Keyed inserts with pure values commute: no sort needed.
-		for id, a := range cur.Apps {
-			st.Apps[id] = trace.AppState{Status: a.Status, Spec: a.Spec, PreOK: a.PreOK}
+		apps := make(map[spec.AppID]trace.AppState, len(e.State.Apps))
+		for id, a := range e.State.Apps {
+			apps[id] = trace.AppState{Status: a.Status, Spec: a.Spec, PreOK: a.PreOK}
 		}
-		if err := tr.Append(st); err != nil {
-			return nil, 0, err
+		for f := e.Frame; f < end; f++ {
+			tr.States = append(tr.States, trace.SysState{Cycle: f, Config: e.State.Config, Env: e.State.Env, Apps: apps})
 		}
 	}
-	return tr, base, nil
+	return tr, nil
 }
 
 // PhaseSpan is one protocol phase's inclusive frame window within a

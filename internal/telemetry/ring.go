@@ -164,10 +164,11 @@ func (e Event) String() string {
 // DefaultCapacity is the default ring size: an upper bound on the live
 // events, not an allocation. The buffer grows on demand, doubling only when
 // every slot holds a live event, so a ring whose retention horizon keeps a
-// few dozen events live stays a few dozen slots long. At one frame-state
-// event plus a handful of protocol events per frame, a full ring covers on
-// the order of a thousand frames of history — enough for every campaign in
-// the repository while keeping the per-frame persistence delta small.
+// few dozen events live stays a few dozen slots long. How many frames a
+// full ring covers depends on how many events the system records per frame:
+// frame-state samples only on a state change, protocol, storage and bus
+// events as they happen. DESIGN.md §10 lists the windows measured and the
+// run lengths checked.
 const DefaultCapacity = 4096
 
 // minRingSlots is the buffer's first allocation: small enough that a quiet
@@ -335,13 +336,6 @@ func (r *Recorder) Trimmed() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.trimmed
-}
-
-// FrameNum returns the current frame number.
-func (r *Recorder) FrameNum() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.frame
 }
 
 // Record appends an event, assigning its sequence number. A zero Frame is

@@ -11,8 +11,9 @@
 // model of Schlichting and Schneider that the paper assumes, stable storage
 // survives a processor halt and remains pollable, so the ring is a black
 // box: after the processor dies, RecoverRing reads the journal back out of
-// the stable-storage snapshot, and ReconstructTrace turns it into the same
-// sys_trace the SP1-SP4 checkers verify on live executions.
+// the stable-storage snapshot, and ReconstructTrace turns it into a sys_trace
+// for the SP1-SP4 checkers: the same re-expansion of the same samples that
+// a live system's trace is.
 package telemetry
 
 import (

@@ -339,44 +339,88 @@ func TestReconstructTrace(t *testing.T) {
 		{Seq: 1, Frame: 10, Kind: KindSignal}, // interleaved non-state event
 		{Seq: 2, Frame: 11, Kind: KindFrameState, State: mkState("b")},
 	}
-	tr, base, err := ReconstructTrace("t", time.Millisecond, events)
+	tr, err := ReconstructTrace("t", time.Millisecond, events, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base != 10 || tr.Len() != 2 {
-		t.Fatalf("base=%d len=%d, want 10/2", base, tr.Len())
+	// Cycles stay absolute: the trace starts at the first sample's frame.
+	if tr.Base != 10 || tr.Len() != 2 {
+		t.Fatalf("base=%d len=%d, want 10/2", tr.Base, tr.Len())
 	}
-	if tr.States[0].Cycle != 0 || tr.States[1].Apps["fcs"].Spec != "fcs-b" {
+	if tr.States[0].Cycle != 10 || tr.States[1].Apps["fcs"].Spec != "fcs-b" {
 		t.Errorf("reconstructed states = %+v", tr.States)
 	}
 
 	// Run-length encoding: frames between two samples repeat the earlier
-	// sample's state.
+	// sample's state, and the last run extends through the given frame.
 	rle := []Event{
 		{Seq: 0, Frame: 10, Kind: KindFrameState, State: mkState("a")},
 		{Seq: 1, Frame: 13, Kind: KindFrameState, State: mkState("b")},
 	}
-	tr, base, err = ReconstructTrace("t", time.Millisecond, rle)
+	tr, err = ReconstructTrace("t", time.Millisecond, rle, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base != 10 || tr.Len() != 4 {
-		t.Fatalf("RLE base=%d len=%d, want 10/4", base, tr.Len())
+	if tr.Base != 10 || tr.Len() != 6 || tr.End() != 16 {
+		t.Fatalf("RLE base=%d len=%d end=%d, want 10/6/16", tr.Base, tr.Len(), tr.End())
 	}
-	for cycle, want := range []spec.SpecID{"fcs-a", "fcs-a", "fcs-a", "fcs-b"} {
-		if got := tr.States[cycle].Apps["fcs"].Spec; got != want {
-			t.Errorf("RLE cycle %d spec = %s, want %s", cycle, got, want)
+	for i, want := range []spec.SpecID{"fcs-a", "fcs-a", "fcs-a", "fcs-b", "fcs-b", "fcs-b"} {
+		st := tr.States[i]
+		if st.Cycle != 10+int64(i) || st.Apps["fcs"].Spec != want {
+			t.Errorf("RLE state %d = cycle %d spec %s, want cycle %d spec %s", i, st.Cycle, st.Apps["fcs"].Spec, 10+i, want)
 		}
+	}
+	// A closing frame before the last sample ends the trace at that sample.
+	if tr, err = ReconstructTrace("t", time.Millisecond, rle, 11); err != nil {
+		t.Fatal(err)
+	}
+	if tr.End() != 14 {
+		t.Fatalf("closing frame 11: end=%d, want 14", tr.End())
+	}
+
+	// A ring that lost its samples before frame 10 cannot tell where a
+	// reconfiguration in progress at frame 10 began, so the trace starts
+	// at the first all-normal sample. A ring with no all-normal sample
+	// keeps its samples: the whole trace is one open window.
+	halting := mkState("a")
+	halting.Apps = map[spec.AppID]AppSnap{"fcs": {Status: trace.StatusHalting, Spec: "fcs-a"}}
+	cut := []Event{
+		{Seq: 4, Frame: 10, Kind: KindFrameState, State: halting},
+		{Seq: 5, Frame: 12, Kind: KindFrameState, State: mkState("b")},
+	}
+	if tr, err = ReconstructTrace("t", time.Millisecond, cut, 15); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Base != 12 || tr.End() != 16 || len(tr.Reconfigs()) != 0 {
+		t.Fatalf("cut window: base=%d end=%d reconfigs=%v, want the trace [12,16) with none", tr.Base, tr.End(), tr.Reconfigs())
+	}
+	if tr, err = ReconstructTrace("t", time.Millisecond, cut[:1], 15); err != nil {
+		t.Fatal(err)
+	}
+	if open, ok := tr.OpenReconfig(); tr.Base != 10 || !ok || open.Frames() != 6 {
+		t.Fatalf("no all-normal sample: base=%d open=%v/%v, want base 10 and a 6-frame open window", tr.Base, open, ok)
+	}
+	// A ring that kept its frame-0 sample lost nothing before it, so a
+	// reconfiguration starting at frame 0 stays in the trace.
+	whole := []Event{
+		{Seq: 0, Frame: 0, Kind: KindFrameState, State: halting},
+		{Seq: 1, Frame: 2, Kind: KindFrameState, State: mkState("b")},
+	}
+	if tr, err = ReconstructTrace("t", time.Millisecond, whole, 3); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Base != 0 || len(tr.Reconfigs()) != 1 {
+		t.Fatalf("whole ring: base=%d reconfigs=%v, want base 0 and one reconfiguration", tr.Base, tr.Reconfigs())
 	}
 
 	ooo := []Event{
 		{Seq: 0, Frame: 10, Kind: KindFrameState, State: mkState("a")},
 		{Seq: 1, Frame: 9, Kind: KindFrameState, State: mkState("b")},
 	}
-	if _, _, err := ReconstructTrace("t", time.Millisecond, ooo); err == nil {
+	if _, err := ReconstructTrace("t", time.Millisecond, ooo, -1); err == nil {
 		t.Error("ReconstructTrace accepted out-of-order samples")
 	}
-	if _, _, err := ReconstructTrace("t", time.Millisecond, nil); err == nil {
+	if _, err := ReconstructTrace("t", time.Millisecond, nil, -1); err == nil {
 		t.Error("ReconstructTrace accepted an empty ring")
 	}
 }

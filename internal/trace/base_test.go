@@ -7,12 +7,13 @@ import (
 	"repro/internal/spec"
 )
 
-func trimTestTrace(t *testing.T, cycles int64) *Trace {
+// basedTestTrace builds the trace of cycles [base, end), with cycles 10..12
+// restricted: one completed reconfiguration when base <= 10.
+func basedTestTrace(t *testing.T, base, end int64) *Trace {
 	t.Helper()
-	tr := &Trace{System: "trim-test"}
-	for c := int64(0); c < cycles; c++ {
+	tr := &Trace{System: "base-test", Base: base}
+	for c := base; c < end; c++ {
 		status := StatusNormal
-		// cycles 10..12 restricted: one completed reconfiguration
 		if c >= 10 && c < 13 {
 			status = StatusHalting
 		}
@@ -28,26 +29,28 @@ func trimTestTrace(t *testing.T, cycles int64) *Trace {
 	return tr
 }
 
-func TestTrimKeepsAbsoluteCycles(t *testing.T) {
-	tr := trimTestTrace(t, 40)
-	full := tr.Reconfigs()
+// TestBaseKeepsAbsoluteCycles: a trace that starts after cycle 0, as a view
+// over a bounded flight-recorder ring does, addresses and reports cycles
+// absolutely.
+func TestBaseKeepsAbsoluteCycles(t *testing.T) {
+	full := basedTestTrace(t, 0, 40).Reconfigs()
 	if len(full) != 1 || full[0].StartC != 10 || full[0].EndC != 13 {
-		t.Fatalf("untrimmed reconfigs = %+v", full)
+		t.Fatalf("whole-execution reconfigs = %+v", full)
 	}
 
-	tr.Trim(8)
+	tr := basedTestTrace(t, 8, 40)
 	if tr.Base != 8 || tr.Len() != 32 || tr.End() != 40 {
-		t.Fatalf("after Trim(8): base=%d len=%d end=%d", tr.Base, tr.Len(), tr.End())
+		t.Fatalf("base=%d len=%d end=%d, want 8/32/40", tr.Base, tr.Len(), tr.End())
 	}
 	if _, ok := tr.At(7); ok {
-		t.Fatal("At(7) visible after trim")
+		t.Fatal("At(7) visible before base")
 	}
 	s, ok := tr.At(10)
 	if !ok || s.Cycle != 10 {
 		t.Fatalf("At(10) = %+v, %v", s, ok)
 	}
 	if got := tr.Reconfigs(); len(got) != 1 || got[0] != full[0] {
-		t.Fatalf("trimmed reconfigs = %+v, want %+v", got, full)
+		t.Fatalf("based reconfigs = %+v, want %+v", got, full)
 	}
 
 	// Append continues at the absolute cycle.
@@ -58,22 +61,13 @@ func TestTrimKeepsAbsoluteCycles(t *testing.T) {
 	if err := tr.Append(SysState{Cycle: 40}); err == nil {
 		t.Fatal("non-contiguous append accepted")
 	}
-
-	// Trim below base and past end are safe.
-	tr.Trim(3)
-	if tr.Base != 8 {
-		t.Fatalf("Trim below base moved base to %d", tr.Base)
-	}
-	tr.Trim(1000)
-	if tr.Base != 41 || tr.Len() != 0 {
-		t.Fatalf("Trim past end: base=%d len=%d", tr.Base, tr.Len())
+	if err := new(Trace).Append(SysState{Cycle: 3}); err == nil {
+		t.Fatal("append of cycle 3 to an empty trace at base 0 accepted")
 	}
 }
 
-func TestTrimmedTraceJSONRoundTrip(t *testing.T) {
-	tr := trimTestTrace(t, 20)
-	tr.Trim(5)
-	raw, err := json.Marshal(tr)
+func TestBasedTraceJSONRoundTrip(t *testing.T) {
+	raw, err := json.Marshal(basedTestTrace(t, 5, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +82,6 @@ func TestTrimmedTraceJSONRoundTrip(t *testing.T) {
 	back.States[0].Cycle = 99
 	raw2, _ := json.Marshal(&back)
 	if err := new(Trace).UnmarshalJSON(raw2); err == nil {
-		t.Fatal("tampered trimmed trace decoded")
+		t.Fatal("tampered based trace decoded")
 	}
 }

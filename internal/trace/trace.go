@@ -138,18 +138,17 @@ func (s *SysState) anyInterrupted() bool {
 
 // Trace is sys_trace: the per-cycle state sequence of one execution.
 //
-// A trace may be *trimmed*: long-running systems with a retention horizon
-// drop their oldest states and record the offset in Base, so States[i]
-// holds the state of cycle Base+i. An untrimmed trace has Base 0 and is
-// bitwise what it always was. Property checks and reconfiguration
-// extraction operate over the retained window; cycle numbers in results
-// stay absolute.
+// A trace may start after cycle 0: a trace re-expanded from a bounded
+// flight-recorder ring covers only the window the ring still holds, so
+// States[i] holds the state of cycle Base+i. A trace of the whole execution
+// has Base 0. Property checks and reconfiguration extraction operate over
+// the window; cycle numbers in results stay absolute.
 type Trace struct {
 	// System names the system that produced the trace.
 	System string `json:"system"`
 	// FrameLen is cycle_time.
 	FrameLen time.Duration `json:"frame_len_ns"`
-	// Base is the cycle number of States[0]; 0 for an untrimmed trace.
+	// Base is the cycle number of States[0]; 0 for a whole execution.
 	Base int64 `json:"base,omitempty"`
 	// States holds one entry per cycle, in cycle order starting at Base.
 	States []SysState `json:"states"`
@@ -165,8 +164,8 @@ func (t *Trace) Append(s SysState) error {
 	return nil
 }
 
-// At returns the state at the given cycle. Cycles before the retention
-// horizon of a trimmed trace report !ok, like cycles past the end.
+// At returns the state at the given cycle. Cycles before Base report !ok,
+// like cycles past the end.
 func (t *Trace) At(cycle int64) (SysState, bool) {
 	i := cycle - t.Base
 	if i < 0 || i >= int64(len(t.States)) {
@@ -175,32 +174,14 @@ func (t *Trace) At(cycle int64) (SysState, bool) {
 	return t.States[i], true
 }
 
-// Len returns the number of retained cycles. For an untrimmed trace this is
-// the number of cycles executed; End gives the absolute cycle bound.
+// Len returns the number of cycles in the trace. For a trace of the whole
+// execution this is the number of cycles executed; End gives the absolute
+// cycle bound.
 func (t *Trace) Len() int64 { return int64(len(t.States)) }
 
 // End returns the exclusive upper cycle bound: the next cycle Append
-// expects. For an untrimmed trace End == Len.
+// expects. For a trace with Base 0, End == Len.
 func (t *Trace) End() int64 { return t.Base + int64(len(t.States)) }
-
-// Trim drops every state before the given cycle and advances Base. States
-// are copied into a fresh slice so the dropped prefix is actually released;
-// callers amortize by trimming in chunks. Trimming past the end clears the
-// trace (Base becomes End). Trimming at or below Base is a no-op.
-func (t *Trace) Trim(before int64) {
-	k := before - t.Base
-	if k <= 0 {
-		return
-	}
-	if k > int64(len(t.States)) {
-		k = int64(len(t.States))
-	}
-	//lint:allow allocfree amortized retention trim: called once per retention window (not per frame), and the copy is what releases the dropped prefix
-	kept := make([]SysState, len(t.States)-int(k))
-	copy(kept, t.States[k:])
-	t.States = kept
-	t.Base += k
-}
 
 // AppIDs returns every application identifier appearing in the trace,
 // sorted.
